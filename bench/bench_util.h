@@ -61,7 +61,7 @@ inline int IntFlag(int argc, char** argv, const char* flag, int fallback) {
 
 /// `--profile-out` support shared by the bench mains: arms the global
 /// `SamplingProfiler` (no-op with a warning where per-thread timers are
-/// unavailable or obs is compiled out). `hz <= 0` keeps the default rate.
+/// unavailable). `hz <= 0` keeps the default rate.
 inline void StartProfilerIfRequested(const std::string& profile_out, int hz) {
   if (profile_out.empty()) return;
   SamplingProfilerOptions options;
@@ -99,8 +99,8 @@ inline void WriteProfileIfRequested(const std::string& profile_out) {
 /// `--metrics-port` support: binds the standalone scrape endpoint so
 /// counter/histogram series are observable mid-run (parity with
 /// `bench_stream_serve`, which serves /metrics from its `ExplainServer`).
-/// Returns false (after a warning) when the port is taken or obs is
-/// compiled out; `port < 0` means not requested.
+/// Returns false (after a warning) when the port is taken; `port < 0`
+/// means not requested.
 inline bool StartMetricsEndpointIfRequested(MetricsHttpServer& server,
                                             int port) {
   if (port < 0) return false;

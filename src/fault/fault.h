@@ -14,8 +14,7 @@ namespace subex {
 /// Production code wraps its fallible syscalls and admission decisions in
 /// named *injection points* (`SUBEX_FAULT(...)`). Each point is disarmed by
 /// default: the wrapper is a single relaxed atomic load of a process-wide
-/// "anything armed?" flag, and under `-DSUBEX_FAULT_DISABLED=ON` it compiles
-/// to the constant `false` — a branch-free no-op.
+/// "anything armed?" flag, cheap enough to stay in every build.
 ///
 /// Tests and the chaos harness arm points with per-point rules — fire with
 /// probability p, only after the first N evaluations, at most M times — via
@@ -182,12 +181,7 @@ class FaultControl {
 
 /// The injection-point wrapper production code uses. Yields `false`
 /// (optionally setting `*action_out`) unless the point is armed and fires.
-/// Compiled out entirely under SUBEX_FAULT_DISABLED.
-#if defined(SUBEX_FAULT_DISABLED)
-#define SUBEX_FAULT(point, action_out) false
-#else
 #define SUBEX_FAULT(point, action_out) \
   (::subex::FaultRegistry::Global().Evaluate((point), (action_out)))
-#endif
 
 #endif  // SUBEX_FAULT_FAULT_H_

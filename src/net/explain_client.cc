@@ -151,18 +151,13 @@ bool ExplainClient::SendAndReceive(const std::vector<std::uint8_t>& request,
 }
 
 std::uint64_t ExplainClient::BeginTrace() {
-#ifndef SUBEX_OBS_DISABLED
   last_trace_id_ = options_.enable_tracing ? NextTraceId() : 0;
-#else
-  last_trace_id_ = 0;
-#endif
   return last_trace_id_;
 }
 
 void ExplainClient::RecordClientSpan(
     const char* name, std::uint64_t trace_id,
     std::chrono::steady_clock::time_point start) {
-#ifndef SUBEX_OBS_DISABLED
   if (trace_id == 0 || !SpanCollector::Global().enabled()) return;
   const auto duration = std::chrono::steady_clock::now() - start;
   SpanRecord record;
@@ -177,11 +172,6 @@ void ExplainClient::RecordClientSpan(
   record.duration_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(duration).count());
   SpanCollector::Global().Record(record);
-#else
-  (void)name;
-  (void)trace_id;
-  (void)start;
-#endif
 }
 
 ClientStatus ExplainClient::RoundTrip(const std::vector<std::uint8_t>& request,

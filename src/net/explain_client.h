@@ -86,8 +86,7 @@ struct ExplainClientOptions {
   /// Stamp every request with a fresh trace id (propagated in the wire
   /// header and continued server-side) and record a "client.request" span
   /// to this process's `SpanCollector` when it is enabled. Off the wire
-  /// this costs nothing when the collector is disabled; under
-  /// SUBEX_OBS_DISABLED ids are 0 and frames stay in the old format.
+  /// this costs nothing when the collector is disabled.
   bool enable_tracing = true;
 };
 

@@ -48,10 +48,28 @@ std::uint64_t NsSince(Clock::time_point start) {
 /// a fraction of it, anything bigger is not our client.
 constexpr std::size_t kMaxHttpRequestBytes = 8192;
 
-[[maybe_unused]] constexpr const char kEmptyChromeTrace[] =
-    "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-
 }  // namespace
+
+const ExplainServer::RequestType ExplainServer::kRequestTypes[] = {
+    {MessageType::kScore, "score", &ExplainServer::HandleScore},
+    {MessageType::kExplain, "explain", &ExplainServer::HandleExplain},
+    {MessageType::kStats, "stats", &ExplainServer::HandleStats},
+    {MessageType::kTraceDump, "trace_dump", &ExplainServer::HandleTraceDump},
+    {MessageType::kIngest, "ingest", &ExplainServer::HandleIngest},
+    {MessageType::kOnlineScore, "online_score",
+     &ExplainServer::HandleOnlineScore},
+    {MessageType::kOnlineExplain, "online_explain",
+     &ExplainServer::HandleOnlineExplain},
+    {MessageType::kProfDump, "prof", &ExplainServer::HandleProfDump},
+};
+
+const ExplainServer::RequestType* ExplainServer::FindRequestType(
+    MessageType type) {
+  for (const RequestType& kind : kRequestTypes) {
+    if (kind.type == type) return &kind;
+  }
+  return nullptr;
+}
 
 std::string ServerStatsSnapshot::ToJson() const {
   return JsonObject()
@@ -121,21 +139,6 @@ ExplainServer::ExplainServer(const ExplainServerOptions& options,
       queue_wait_histogram_(
           &MetricsRegistry::Global().GetHistogram("serve.queue_wait")),
       write_histogram_(&MetricsRegistry::Global().GetHistogram("net.write")),
-      score_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.score")),
-      explain_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.explain")),
-      stats_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.stats")),
-      ingest_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.ingest")),
-      online_score_request_histogram_(&MetricsRegistry::Global().GetHistogram(
-          "serve.request.online_score")),
-      online_explain_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram(
-              "serve.request.online_explain")),
-      prof_request_histogram_(
-          &MetricsRegistry::Global().GetHistogram("serve.request.prof")),
       explain_search_histogram_(
           &MetricsRegistry::Global().GetHistogram("explain.search")),
       bytes_received_(
@@ -148,7 +151,12 @@ ExplainServer::ExplainServer(const ExplainServerOptions& options,
       connections_gauge_(
           &MetricsRegistry::Global().GetGauge("serve.connections")),
       uptime_gauge_(
-          &MetricsRegistry::Global().GetGauge("server.uptime_seconds")) {}
+          &MetricsRegistry::Global().GetGauge("server.uptime_seconds")) {
+  for (const RequestType& kind : kRequestTypes) {
+    request_type_histograms_.push_back(&MetricsRegistry::Global().GetHistogram(
+        std::string("serve.request.") + kind.name));
+  }
+}
 
 ExplainServer::~ExplainServer() { Stop(); }
 
@@ -192,7 +200,6 @@ bool ExplainServer::Start(std::string* error) {
   }
   if (!MakeWakePipe(&wake_read_, &wake_write_, error)) return false;
   started_at_ = Clock::now();
-#ifndef SUBEX_OBS_DISABLED
   if (options_.trace_ring_capacity > 0 && !SpanCollector::Global().enabled()) {
     SpanCollector::Global().Enable(options_.trace_ring_capacity);
   }
@@ -201,7 +208,6 @@ bool ExplainServer::Start(std::string* error) {
         static_cast<std::uint64_t>(options_.slow_request_threshold_ms * 1e6),
         options_.slow_request_capacity);
   }
-#endif
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread(&ExplainServer::Loop, this);
@@ -467,7 +473,6 @@ std::string ExplainServer::BuildMetricsHttpResponse(
   std::string content_type = "text/plain; charset=utf-8";
   std::string body = "not found\n";
   if (request_line.rfind("GET /metrics", 0) == 0) {
-#ifndef SUBEX_OBS_DISABLED
     uptime_gauge_->Set(static_cast<std::int64_t>(
         std::chrono::duration_cast<std::chrono::seconds>(Clock::now() -
                                                          started_at_)
@@ -475,10 +480,6 @@ std::string ExplainServer::BuildMetricsHttpResponse(
     status = "200 OK";
     content_type = "text/plain; version=0.0.4; charset=utf-8";
     body = RenderPrometheusText(MetricsRegistry::Global());
-#else
-    status = "503 Service Unavailable";
-    body = "observability compiled out (SUBEX_OBS_DISABLED)\n";
-#endif
   } else if (!request_line.empty() && request_line.rfind("GET ", 0) != 0) {
     status = "405 Method Not Allowed";
     body = "only GET is supported\n";
@@ -591,7 +592,6 @@ bool ExplainServer::HandleWritable(const std::shared_ptr<Connection>& conn) {
     bytes_sent_->Increment(static_cast<std::uint64_t>(n));
     conn->write_offset += static_cast<std::size_t>(n);
     if (conn->write_offset == front.size()) {
-#ifndef SUBEX_OBS_DISABLED
       // The response's "net.write" span: enqueued by the handler to fully
       // handed to the kernel here, tagged with the request's trace.
       SpanCollector& collector = SpanCollector::Global();
@@ -605,7 +605,6 @@ bool ExplainServer::HandleWritable(const std::shared_ptr<Connection>& conn) {
         record.duration_ns = NsOf(conn->last_progress) - entry.enqueued_ns;
         collector.Record(std::move(record));
       }
-#endif
       conn->write_queue.pop_front();
       conn->write_offset = 0;
       responses_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -618,8 +617,10 @@ void ExplainServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                                   std::vector<std::uint8_t> payload) {
   WireReader reader(payload);
   MessageHeader header;
-  if (!DecodeHeader(reader, &header) ||
-      header.version != kProtocolVersion || !IsRequestType(header.type)) {
+  const bool header_ok =
+      DecodeHeader(reader, &header) && header.version == kProtocolVersion;
+  const RequestType* kind = header_ok ? FindRequestType(header.type) : nullptr;
+  if (kind == nullptr) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     SUBEX_EVENT(EventSeverity::kWarn, "net.protocol_error",
                 JsonObject()
@@ -657,17 +658,17 @@ void ExplainServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
   const Clock::time_point admitted = Clock::now();
 
   if (pool_ != nullptr) {
-    pool_->Submit(
-        [this, conn, header, admitted, body = std::move(payload)]() mutable {
-          HandleRequest(conn, header, std::move(body), admitted);
-        });
+    pool_->Submit([this, conn, header, kind, admitted,
+                   body = std::move(payload)]() mutable {
+      HandleRequest(conn, header, *kind, std::move(body), admitted);
+    });
   } else {
-    HandleRequest(conn, header, std::move(payload), admitted);
+    HandleRequest(conn, header, *kind, std::move(payload), admitted);
   }
 }
 
 void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
-                                  MessageHeader header,
+                                  MessageHeader header, const RequestType& kind,
                                   std::vector<std::uint8_t> payload,
                                   Clock::time_point admitted) {
   const std::uint64_t queue_wait_ns = NsSince(admitted);
@@ -697,7 +698,6 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     return;
   }
 
-#ifndef SUBEX_OBS_DISABLED
   // Continue the client's distributed trace (or root a fresh one): the
   // request's spans nest under one root that starts at admission. Traces
   // are pooled per connection — Clear + reuse, no per-request allocation
@@ -719,18 +719,15 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   const std::size_t root = trace->OpenSpan("serve.request", admitted_ns);
   const std::uint64_t root_span_id = trace->spans()[root].span_id;
   trace->Record("serve.queue_wait", admitted_ns, queue_wait_ns);
-#endif
 
   WireReader reader(payload.data() + EncodedHeaderBytes(header),
                     payload.size() - EncodedHeaderBytes(header));
   std::vector<std::uint8_t> response;
   try {
-#ifndef SUBEX_OBS_DISABLED
     // Handlers and everything they call (scoring service, chunk loads,
     // explainer pipelines) see this trace via CurrentTrace().
     TraceContext context(trace);
-#endif
-    response = ComputeResponse(header, reader);
+    response = (this->*kind.handler)(header.request_id, reader);
   } catch (const std::exception& e) {
     response = EncodeError(header.request_id,
                            std::string("handler exception: ") + e.what());
@@ -745,33 +742,8 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   }
   const std::uint64_t end_to_end_ns = NsSince(admitted);
   request_histogram_->Record(end_to_end_ns);
-  switch (header.type) {
-    case MessageType::kScore:
-      score_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kExplain:
-      explain_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kStats:
-      stats_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kIngest:
-      ingest_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kOnlineScore:
-      online_score_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kOnlineExplain:
-      online_explain_request_histogram_->Record(end_to_end_ns);
-      break;
-    case MessageType::kProfDump:
-      prof_request_histogram_->Record(end_to_end_ns);
-      break;
-    default:
-      break;
-  }
+  request_type_histograms_[&kind - kRequestTypes]->Record(end_to_end_ns);
 
-#ifndef SUBEX_OBS_DISABLED
   // Finish the trace BEFORE the response is enqueued: once the client can
   // see the reply it may immediately ask for a kTraceDump, and every span
   // of this request except net.write (which the loop thread records before
@@ -779,31 +751,8 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
   const std::uint64_t trace_id = trace->trace_id();
   trace->CloseSpan(root, end_to_end_ns);
   if (slow_capture_ != nullptr && slow_capture_->WouldCapture(end_to_end_ns)) {
-    const char* label = "other";
-    switch (header.type) {
-      case MessageType::kScore:
-        label = "score";
-        break;
-      case MessageType::kExplain:
-        label = "explain";
-        break;
-      case MessageType::kStats:
-        label = "stats";
-        break;
-      case MessageType::kIngest:
-        label = "ingest";
-        break;
-      case MessageType::kOnlineScore:
-        label = "online_score";
-        break;
-      case MessageType::kOnlineExplain:
-        label = "online_explain";
-        break;
-      default:
-        break;
-    }
-    slow_capture_->Capture(label, header.request_id, trace_id, end_to_end_ns,
-                           trace->ToJson());
+    slow_capture_->Capture(kind.name, header.request_id, trace_id,
+                           end_to_end_ns, trace->ToJson());
   }
   trace->Clear();
   {
@@ -811,37 +760,10 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     conn->trace_pool.emplace_back(trace);
   }
   EnqueueResponse(conn, std::move(response), trace_id, root_span_id);
-#else
-  EnqueueResponse(conn, std::move(response));
-#endif
 
   conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
   in_flight_.fetch_sub(1, std::memory_order_release);
   Wake();
-}
-
-std::vector<std::uint8_t> ExplainServer::ComputeResponse(
-    const MessageHeader& header, WireReader& reader) {
-  switch (header.type) {
-    case MessageType::kScore:
-      return HandleScore(header.request_id, reader);
-    case MessageType::kExplain:
-      return HandleExplain(header.request_id, reader);
-    case MessageType::kStats:
-      return HandleStats(header.request_id);
-    case MessageType::kTraceDump:
-      return HandleTraceDump(header.request_id, reader);
-    case MessageType::kIngest:
-      return HandleIngest(header.request_id, reader);
-    case MessageType::kOnlineScore:
-      return HandleOnlineScore(header.request_id, reader);
-    case MessageType::kOnlineExplain:
-      return HandleOnlineExplain(header.request_id, reader);
-    case MessageType::kProfDump:
-      return HandleProfDump(header.request_id, reader);
-    default:
-      return EncodeError(header.request_id, "unsupported request type");
-  }
 }
 
 namespace {
@@ -919,7 +841,8 @@ std::vector<std::uint8_t> ExplainServer::HandleExplain(std::uint64_t request_id,
   return EncodeExplainResult(request_id, result);
 }
 
-std::vector<std::uint8_t> ExplainServer::HandleStats(std::uint64_t request_id) {
+std::vector<std::uint8_t> ExplainServer::HandleStats(std::uint64_t request_id,
+                                                     WireReader& /*reader*/) {
   JsonObject services;
   for (const auto& [name, service] : services_) {
     services.AddRaw(name, service->stats().ToJson());
@@ -929,18 +852,11 @@ std::vector<std::uint8_t> ExplainServer::HandleStats(std::uint64_t request_id) {
                                                        started_at_)
           .count());
   uptime_gauge_->Set(static_cast<std::int64_t>(uptime_seconds));
-#ifndef SUBEX_OBS_DISABLED
   const std::string events_json = EventLog::Global().ToJson();
   const std::string slow_json =
       slow_capture_ != nullptr
           ? slow_capture_->ToJson()
           : "{\"threshold_ms\":0,\"captured\":0,\"recent\":[]}";
-#else
-  const std::string events_json =
-      "{\"emitted\":0,\"suppressed\":0,\"recent\":[]}";
-  const std::string slow_json =
-      "{\"threshold_ms\":0,\"captured\":0,\"recent\":[]}";
-#endif
   JsonObject online;
   for (const auto& [name, dataset] : online_) {
     online.AddRaw(name, dataset->stats().ToJson());
@@ -968,13 +884,9 @@ std::vector<std::uint8_t> ExplainServer::HandleTraceDump(
     return EncodeError(request_id, "malformed kTraceDump body");
   }
   TextResult result;
-#ifndef SUBEX_OBS_DISABLED
   SpanCollector& collector = SpanCollector::Global();
   result.text = collector.ToChromeTraceJson();
   if (request.clear) collector.Clear();
-#else
-  result.text = kEmptyChromeTrace;
-#endif
   return EncodeTraceDumpResult(request_id, result);
 }
 
@@ -984,9 +896,6 @@ std::vector<std::uint8_t> ExplainServer::HandleProfDump(
   if (!DecodeProfDumpRequest(reader, &request)) {
     return EncodeError(request_id, "malformed kProfDump body");
   }
-  // The SUBEX_OBS_DISABLED stubs make every branch a well-formed no-op
-  // (start fails gracefully, dumps are empty), so this handler needs no
-  // compile-time split.
   SamplingProfiler& profiler = SamplingProfiler::Global();
   ProfDumpResult result;
   switch (request.action) {
@@ -1149,9 +1058,7 @@ void ExplainServer::EnqueueResponse(const std::shared_ptr<Connection>& conn,
   entry.frame = EncodeFrame(payload);
   entry.trace_id = trace_id;
   entry.parent_span_id = parent_span_id;
-#ifndef SUBEX_OBS_DISABLED
   entry.enqueued_ns = NsOf(Clock::now());
-#endif
   {
     std::lock_guard<std::mutex> lock(conn->mutex);
     if (conn->closed) return;  // Peer already gone; drop the response.

@@ -154,6 +154,20 @@ class ExplainServer {
   struct Connection;
   struct HttpConnection;
 
+  /// One row of the request table. `name` is the suffix of the type's
+  /// `serve.request.<name>` histogram and its slow-request label.
+  struct RequestType {
+    MessageType type;
+    const char* name;
+    std::vector<std::uint8_t> (ExplainServer::*handler)(
+        std::uint64_t request_id, WireReader& reader);
+  };
+  /// Every request type the server admits; admission, per-type metrics,
+  /// slow-request labels and dispatch all read this one table.
+  static const RequestType kRequestTypes[];
+  /// `type`'s row, or nullptr when the server does not serve it.
+  static const RequestType* FindRequestType(MessageType type);
+
   void Loop();
   void AcceptNewConnections();
   void AcceptMetricsConnections();
@@ -173,19 +187,20 @@ class ExplainServer {
   void DispatchFrame(const std::shared_ptr<Connection>& conn,
                      std::vector<std::uint8_t> payload);
   /// Runs on the pool: decodes the body, computes, enqueues the response.
-  /// `admitted` is the admission instant — queue wait (admission to start
-  /// of compute) and end-to-end latency (admission to response enqueued)
-  /// both measure from it.
+  /// `kind` is the header type's `kRequestTypes` row. `admitted` is the
+  /// admission instant — queue wait (admission to start of compute) and
+  /// end-to-end latency (admission to response enqueued) both measure
+  /// from it.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
-                     MessageHeader header, std::vector<std::uint8_t> payload,
+                     MessageHeader header, const RequestType& kind,
+                     std::vector<std::uint8_t> payload,
                      std::chrono::steady_clock::time_point admitted);
-  std::vector<std::uint8_t> ComputeResponse(const MessageHeader& header,
-                                            WireReader& reader);
   std::vector<std::uint8_t> HandleScore(std::uint64_t request_id,
                                         WireReader& reader);
   std::vector<std::uint8_t> HandleExplain(std::uint64_t request_id,
                                           WireReader& reader);
-  std::vector<std::uint8_t> HandleStats(std::uint64_t request_id);
+  std::vector<std::uint8_t> HandleStats(std::uint64_t request_id,
+                                        WireReader& reader);
   std::vector<std::uint8_t> HandleTraceDump(std::uint64_t request_id,
                                             WireReader& reader);
   std::vector<std::uint8_t> HandleIngest(std::uint64_t request_id,
@@ -231,13 +246,8 @@ class ExplainServer {
   Histogram* request_histogram_;     ///< serve.request (admit -> enqueued).
   Histogram* queue_wait_histogram_;  ///< serve.queue_wait (admit -> start).
   Histogram* write_histogram_;       ///< net.write (one flush pass).
-  Histogram* score_request_histogram_;    ///< serve.request.score.
-  Histogram* explain_request_histogram_;  ///< serve.request.explain.
-  Histogram* stats_request_histogram_;    ///< serve.request.stats.
-  Histogram* ingest_request_histogram_;   ///< serve.request.ingest.
-  Histogram* online_score_request_histogram_;    ///< serve.request.online_score.
-  Histogram* online_explain_request_histogram_;  ///< serve.request.online_explain.
-  Histogram* prof_request_histogram_;  ///< serve.request.prof.
+  /// serve.request.<name>, one per `kRequestTypes` row, in table order.
+  std::vector<Histogram*> request_type_histograms_;
   Histogram* explain_search_histogram_;   ///< explain.search (handler side).
   Counter* bytes_received_;          ///< net.bytes_received.
   Counter* bytes_sent_;              ///< net.bytes_sent.

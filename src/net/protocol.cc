@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <cmath>
+
 namespace subex {
 namespace {
 
@@ -272,6 +274,11 @@ bool DecodeIngestRequest(WireReader& reader, IngestRequest* out) {
   out->num_rows = reader.GetU32();
   out->values = reader.GetDoubles();
   if (!reader.AtEnd()) return false;
+  // The trust boundary of online state: a NaN or infinity would enter the
+  // window and the WAL and poison every detector over it.
+  for (const double value : out->values) {
+    if (!std::isfinite(value)) return false;
+  }
   // Row-major values must tile into exactly num_rows rows.
   if (out->num_rows == 0) return out->values.empty();
   return out->values.size() % out->num_rows == 0;

@@ -129,7 +129,7 @@ struct TraceDumpRequest {
 struct IngestRequest {
   std::string dataset;
   std::uint32_t num_rows = 0;
-  std::vector<double> values;
+  std::vector<double> values;  ///< Row-major; decoding rejects non-finite.
 };
 
 /// `kIngestResult`: where the window landed after the append.

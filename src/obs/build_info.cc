@@ -17,16 +17,13 @@ std::string BuildInfoJson() {
 #else
   const char* build_type = "unknown";
 #endif
-#ifdef SUBEX_OBS_DISABLED
-  const bool obs_enabled = false;
-#else
-  const bool obs_enabled = true;
-#endif
   return JsonObject()
       .Add("compiler", compiler)
       .Add("cxx_standard", static_cast<std::uint64_t>(__cplusplus))
       .Add("build_type", build_type)
-      .Add("obs_enabled", obs_enabled)
+      // Constant since every build is observable; kept so the kStats
+      // schema does not change.
+      .Add("obs_enabled", true)
       .Build();
 }
 

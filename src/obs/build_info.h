@@ -7,7 +7,6 @@ namespace subex {
 
 /// `{"compiler":"gcc 13.2.0 ...","cxx_standard":202002,"build_type":
 ///   "Release","obs_enabled":true}` — which binary produced a stats dump.
-/// Compiled in both obs modes (it's how a dump says obs was off).
 std::string BuildInfoJson();
 
 }  // namespace subex

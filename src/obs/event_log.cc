@@ -33,8 +33,6 @@ std::string EventRecord::ToJsonLine() const {
   return object.Build();
 }
 
-#ifndef SUBEX_OBS_DISABLED
-
 namespace {
 
 std::uint64_t WallNowNs() {
@@ -238,7 +236,5 @@ std::string SlowRequestCapture::ToJson() const {
       .AddRaw("recent", recent.Build());
   return object.Build();
 }
-
-#endif  // !SUBEX_OBS_DISABLED
 
 }  // namespace subex

@@ -37,8 +37,6 @@ struct EventLogOptions {
   double burst = 20.0;  ///< Bucket depth: events admitted back-to-back.
 };
 
-#ifndef SUBEX_OBS_DISABLED
-
 /// Bounded, rate-limited structured log for the events metrics can't carry
 /// (why was *this* connection dropped?). The hot path is the two-phase
 /// `Admit` (token-bucket check; suppressed events are only counted) then
@@ -141,8 +139,7 @@ class SlowRequestCapture {
 };
 
 /// Emit-site macro: evaluates `fields_expr` (a JSON-object string) only
-/// when the event passes its rate limit, and compiles to nothing under
-/// SUBEX_OBS_DISABLED so disabled builds carry no event-log code at all.
+/// when the event passes its rate limit.
 #define SUBEX_EVENT(severity, key, fields_expr)                     \
   do {                                                              \
     ::subex::EventLog& subex_event_log = ::subex::EventLog::Global(); \
@@ -150,48 +147,6 @@ class SlowRequestCapture {
       subex_event_log.Append((severity), (key), (fields_expr));     \
     }                                                               \
   } while (0)
-
-#else  // SUBEX_OBS_DISABLED
-
-class EventLog {
- public:
-  static EventLog& Global() {
-    static EventLog log;
-    return log;
-  }
-  void Configure(EventLogOptions) {}
-  bool Admit(EventSeverity, std::string_view) { return false; }
-  void Append(EventSeverity, std::string_view, std::string) {}
-  bool Emit(EventSeverity, std::string_view, std::string = "{}") {
-    return false;
-  }
-  std::vector<EventRecord> Snapshot() const { return {}; }
-  std::uint64_t emitted() const { return 0; }
-  std::uint64_t suppressed() const { return 0; }
-  std::string ToJson() const {
-    return "{\"emitted\":0,\"suppressed\":0,\"recent\":[]}";
-  }
-  std::string ToJsonLines() const { return ""; }
-  void Clear() {}
-};
-
-class SlowRequestCapture {
- public:
-  SlowRequestCapture(std::uint64_t, std::size_t) {}
-  bool WouldCapture(std::uint64_t) const { return false; }
-  void Capture(std::string, std::uint64_t, std::uint64_t, std::uint64_t,
-               std::string) {}
-  std::uint64_t captured() const { return 0; }
-  std::string ToJson() const {
-    return "{\"threshold_ms\":0,\"captured\":0,\"recent\":[]}";
-  }
-};
-
-#define SUBEX_EVENT(severity, key, fields_expr) \
-  do {                                          \
-  } while (0)
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace subex
 

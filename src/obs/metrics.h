@@ -10,20 +10,12 @@
 
 namespace subex {
 
-// Building with -DSUBEX_OBS_DISABLED compiles every mutator in this header
-// to a no-op (the A/B baseline for measuring instrumentation overhead);
-// readers keep working and report zeros.
-
 /// Monotonic event counter. `Increment` is one relaxed fetch_add — cheap
 /// enough for per-byte accounting on the network hot path.
 class Counter {
  public:
   void Increment(std::uint64_t delta = 1) {
-#ifndef SUBEX_OBS_DISABLED
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -38,18 +30,10 @@ class Counter {
 class Gauge {
  public:
   void Set(std::int64_t value) {
-#ifndef SUBEX_OBS_DISABLED
     value_.store(value, std::memory_order_relaxed);
-#else
-    (void)value;
-#endif
   }
   void Add(std::int64_t delta) {
-#ifndef SUBEX_OBS_DISABLED
     value_.fetch_add(delta, std::memory_order_relaxed);
-#else
-    (void)delta;
-#endif
   }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { value_.store(0, std::memory_order_relaxed); }
@@ -111,7 +95,6 @@ class Histogram {
       kSubBuckets + (64 - kSubBits) * kSubBuckets;
 
   void Record(std::uint64_t value_ns) {
-#ifndef SUBEX_OBS_DISABLED
     buckets_[BucketIndex(value_ns)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value_ns, std::memory_order_relaxed);
     std::uint64_t seen = max_.load(std::memory_order_relaxed);
@@ -120,9 +103,6 @@ class Histogram {
                                        std::memory_order_relaxed,
                                        std::memory_order_relaxed)) {
     }
-#else
-    (void)value_ns;
-#endif
   }
 
   /// The bucket `value` falls into.

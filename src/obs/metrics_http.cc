@@ -1,7 +1,5 @@
 #include "obs/metrics_http.h"
 
-#ifndef SUBEX_OBS_DISABLED
-
 #include <arpa/inet.h>
 #include <errno.h>
 #include <netinet/in.h>
@@ -115,5 +113,3 @@ void MetricsHttpServer::AcceptLoop() {
 }
 
 }  // namespace subex
-
-#endif  // SUBEX_OBS_DISABLED

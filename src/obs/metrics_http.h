@@ -8,14 +8,12 @@
 
 namespace subex {
 
-#ifndef SUBEX_OBS_DISABLED
-
 /// Minimal standalone `GET /metrics` listener for processes that have no
 /// `ExplainServer` to piggyback on (bench binaries, tools): one background
 /// thread, one connection at a time, `Connection: close` per scrape —
 /// exactly enough for a Prometheus scraper or a curl mid-run. Serves the
 /// global `MetricsRegistry` via `RenderPrometheusText`; every other path
-/// is 404. Under SUBEX_OBS_DISABLED the stub's `Start` returns false.
+/// is 404.
 class MetricsHttpServer {
  public:
   MetricsHttpServer() = default;
@@ -44,22 +42,6 @@ class MetricsHttpServer {
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> requests_{0};
 };
-
-#else  // SUBEX_OBS_DISABLED
-
-class MetricsHttpServer {
- public:
-  bool Start(std::uint16_t, std::string* error = nullptr) {
-    if (error != nullptr) *error = "observability compiled out";
-    return false;
-  }
-  void Stop() {}
-  bool running() const { return false; }
-  std::uint16_t port() const { return 0; }
-  std::uint64_t requests() const { return 0; }
-};
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace subex
 

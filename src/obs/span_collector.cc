@@ -1,7 +1,5 @@
 #include "obs/span_collector.h"
 
-#ifndef SUBEX_OBS_DISABLED
-
 #include <unistd.h>
 
 #include <algorithm>
@@ -128,7 +126,7 @@ SpanCollector::ThreadRing* SpanCollector::RingForThisThread() {
   auto ring = std::make_shared<ThreadRing>();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    ring->slots.resize(ring_capacity_);
+    ring->capacity = ring_capacity_;
     ring->tid = next_tid_++;
     rings_.push_back(ring);
   }
@@ -145,10 +143,15 @@ void SpanCollector::Record(SpanRecord record) {
   ThreadRing* ring = RingForThisThread();
   std::lock_guard<std::mutex> lock(ring->mutex);
   record.tid = ring->tid;
-  if (ring->size == ring->slots.size()) ++ring->dropped;
-  ring->slots[ring->next] = std::move(record);
-  ring->next = (ring->next + 1) % ring->slots.size();
-  if (ring->size < ring->slots.size()) ++ring->size;
+  // Slots grow on demand, so a thread that records a handful of spans
+  // holds a handful of slots rather than a full ring.
+  if (ring->slots.size() < ring->capacity) {
+    ring->slots.push_back(std::move(record));
+  } else {
+    ++ring->dropped;
+    ring->slots[ring->next] = std::move(record);
+  }
+  ring->next = (ring->next + 1) % ring->capacity;
 }
 
 std::vector<SpanRecord> SpanCollector::Snapshot() const {
@@ -160,12 +163,11 @@ std::vector<SpanRecord> SpanCollector::Snapshot() const {
   std::vector<SpanRecord> spans;
   for (const auto& ring : rings) {
     std::lock_guard<std::mutex> lock(ring->mutex);
-    // Oldest first: when wrapped, the write cursor points at the oldest.
-    const std::size_t capacity = ring->slots.size();
-    const std::size_t first =
-        ring->size == capacity ? ring->next : ring->next - ring->size;
-    for (std::size_t i = 0; i < ring->size; ++i) {
-      spans.push_back(ring->slots[(first + i) % capacity]);
+    // Oldest first: the write cursor points at the oldest span once the
+    // ring has wrapped, and one past the newest (== size) before that.
+    const std::size_t size = ring->slots.size();
+    for (std::size_t i = 0; i < size; ++i) {
+      spans.push_back(ring->slots[(ring->next + i) % size]);
     }
   }
   std::stable_sort(spans.begin(), spans.end(),
@@ -189,8 +191,8 @@ void SpanCollector::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& ring : rings_) {
     std::lock_guard<std::mutex> ring_lock(ring->mutex);
+    ring->slots.clear();
     ring->next = 0;
-    ring->size = 0;
     ring->dropped = 0;
   }
 }
@@ -224,5 +226,3 @@ std::string SpanCollector::ToChromeTraceJson() const {
 }
 
 }  // namespace subex
-
-#endif  // !SUBEX_OBS_DISABLED

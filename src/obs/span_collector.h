@@ -24,8 +24,6 @@ struct SpanRecord {
   std::uint32_t tid = 0;  ///< Collector-assigned small thread id.
 };
 
-#ifndef SUBEX_OBS_DISABLED
-
 /// Process-unique non-zero trace id: random base mixed with a counter so
 /// ids from concurrently started clients don't collide.
 std::uint64_t NextTraceId();
@@ -38,8 +36,9 @@ std::uint64_t SteadyToWallNs(std::uint64_t steady_ns);
 
 /// Process-wide sink for finished spans. Disabled by default — `Record` is
 /// one relaxed load and returns. When enabled, each recording thread owns a
-/// bounded ring (oldest spans overwritten, overwrites counted as dropped),
-/// so the hot path takes only that thread's uncontended ring mutex.
+/// bounded ring (oldest spans overwritten, overwrites counted as dropped)
+/// that grows on demand up to its capacity, so the hot path takes only
+/// that thread's uncontended ring mutex.
 /// `Snapshot`/`ToChromeTraceJson` gather every ring for export.
 class SpanCollector {
  public:
@@ -70,9 +69,9 @@ class SpanCollector {
  private:
   struct ThreadRing {
     std::mutex mutex;
-    std::vector<SpanRecord> slots;
+    std::vector<SpanRecord> slots;  ///< Valid spans; full once wrapped.
+    std::size_t capacity = 0;  ///< Slots the ring may grow to.
     std::size_t next = 0;  ///< Ring write cursor.
-    std::size_t size = 0;  ///< Valid slots (== capacity once wrapped).
     std::uint64_t dropped = 0;
     std::uint32_t tid = 0;
   };
@@ -87,34 +86,6 @@ class SpanCollector {
   std::size_t ring_capacity_ = 4096;
   std::uint32_t next_tid_ = 0;
 };
-
-#else  // SUBEX_OBS_DISABLED
-
-inline std::uint64_t NextTraceId() { return 0; }
-inline std::uint64_t NextSpanId() { return 0; }
-inline std::uint64_t SteadyToWallNs(std::uint64_t steady_ns) {
-  return steady_ns;
-}
-
-class SpanCollector {
- public:
-  static SpanCollector& Global() {
-    static SpanCollector collector;
-    return collector;
-  }
-  void Enable(std::size_t = 0) {}
-  void Disable() {}
-  bool enabled() const { return false; }
-  void Record(SpanRecord) {}
-  std::vector<SpanRecord> Snapshot() const { return {}; }
-  std::uint64_t dropped() const { return 0; }
-  void Clear() {}
-  std::string ToChromeTraceJson() const {
-    return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-  }
-};
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace subex
 

@@ -9,11 +9,7 @@ namespace subex {
 std::size_t Trace::OpenSpan(std::string name, std::uint64_t start_ns) {
   Span span;
   span.name = std::move(name);
-#ifndef SUBEX_OBS_DISABLED
   span.span_id = NextSpanId();
-#else
-  span.span_id = spans_.size() + 1;
-#endif
   span.parent_id =
       open_stack_.empty() ? 0 : spans_[open_stack_.back()].span_id;
   span.start_ns = start_ns;
@@ -28,7 +24,6 @@ void Trace::CloseSpan(std::size_t index, std::uint64_t duration_ns) {
   if (!open_stack_.empty() && open_stack_.back() == index) {
     open_stack_.pop_back();
   }
-#ifndef SUBEX_OBS_DISABLED
   SpanCollector& collector = SpanCollector::Global();
   if (collector.enabled()) {
     SpanRecord record;
@@ -40,7 +35,6 @@ void Trace::CloseSpan(std::size_t index, std::uint64_t duration_ns) {
     record.duration_ns = span.duration_ns;
     collector.Record(std::move(record));
   }
-#endif
 }
 
 void Trace::Record(std::string name, std::uint64_t start_ns,
@@ -81,8 +75,6 @@ std::string Trace::ToJson() const {
   return document.Build();
 }
 
-#ifndef SUBEX_OBS_DISABLED
-
 namespace {
 thread_local Trace* t_current_trace = nullptr;
 }  // namespace
@@ -116,7 +108,5 @@ void RecordCompletedSpan(const char* name,
     collector.Record(std::move(record));
   }
 }
-
-#endif  // !SUBEX_OBS_DISABLED
 
 }  // namespace subex

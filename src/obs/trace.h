@@ -64,8 +64,6 @@ class Trace {
   std::uint64_t trace_id_ = 0;
 };
 
-#ifndef SUBEX_OBS_DISABLED
-
 /// The trace the calling thread is currently serving, or nullptr. Installed
 /// by `TraceContext`; `TraceSpan`s with a stage name attach to it
 /// automatically, so deep call sites (detectors, chunk loads) need no
@@ -88,27 +86,10 @@ class TraceContext {
 /// Attaches an already-measured interval to the thread's current trace, or
 /// (with no current trace) to the enabled collector as an orphan span. For
 /// code that must keep its own chrono timing, e.g. because the measurement
-/// feeds non-obs stats that work under SUBEX_OBS_DISABLED too.
+/// also feeds non-obs stats.
 void RecordCompletedSpan(const char* name,
                          std::chrono::steady_clock::time_point start,
                          std::uint64_t duration_ns);
-
-#else  // SUBEX_OBS_DISABLED
-
-inline Trace* CurrentTrace() { return nullptr; }
-
-class TraceContext {
- public:
-  explicit TraceContext(Trace*) {}
-  TraceContext(const TraceContext&) = delete;
-  TraceContext& operator=(const TraceContext&) = delete;
-};
-
-inline void RecordCompletedSpan(const char*,
-                                std::chrono::steady_clock::time_point,
-                                std::uint64_t) {}
-
-#endif  // SUBEX_OBS_DISABLED
 
 /// RAII stage timer: reads the clock at construction and, at destruction
 /// (or an explicit `Stop`), records the elapsed nanoseconds into an
@@ -116,14 +97,12 @@ inline void RecordCompletedSpan(const char*,
 /// is given — into a `Trace` as a nested span (the explicit one, or the
 /// thread's `CurrentTrace`). A named span with no trace still reaches an
 /// enabled `SpanCollector` as an orphan. With nothing to feed, the
-/// constructor skips even the clock read, and under SUBEX_OBS_DISABLED the
-/// whole class compiles to nothing — spans can stay in the code
+/// constructor skips even the clock read, so spans can stay in the code
 /// unconditionally.
 class TraceSpan {
  public:
   explicit TraceSpan(Histogram* histogram, Trace* trace = nullptr,
                      const char* stage = nullptr)
-#ifndef SUBEX_OBS_DISABLED
       : histogram_(histogram), stage_(stage) {
     trace_ = trace != nullptr
                  ? trace
@@ -139,13 +118,6 @@ class TraceSpan {
       }
     }
   }
-#else
-  {
-    (void)histogram;
-    (void)trace;
-    (void)stage;
-  }
-#endif
 
   ~TraceSpan() { Stop(); }
 
@@ -155,7 +127,6 @@ class TraceSpan {
   /// Ends the span early and records; the destructor then does nothing.
   /// Returns the elapsed nanoseconds (0 when disarmed or already stopped).
   std::uint64_t Stop() {
-#ifndef SUBEX_OBS_DISABLED
     if (!armed_) return 0;
     armed_ = false;
     const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
@@ -177,13 +148,9 @@ class TraceSpan {
       }
     }
     return elapsed_ns;
-#else
-    return 0;
-#endif
   }
 
  private:
-#ifndef SUBEX_OBS_DISABLED
   std::uint64_t StartNs() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -198,7 +165,6 @@ class TraceSpan {
   std::size_t span_index_ = 0;
   bool armed_ = false;
   bool open_ = false;
-#endif
 };
 
 }  // namespace subex

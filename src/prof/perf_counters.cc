@@ -1,7 +1,5 @@
 #include "prof/perf_counters.h"
 
-#ifndef SUBEX_OBS_DISABLED
-
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -149,5 +147,3 @@ CounterSpan::~CounterSpan() {
 }
 
 }  // namespace subex
-
-#endif  // SUBEX_OBS_DISABLED

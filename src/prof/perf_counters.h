@@ -33,8 +33,6 @@ struct PerfCounterValues {
   }
 };
 
-#ifndef SUBEX_OBS_DISABLED
-
 /// A per-thread group of `perf_event_open` hardware counters (cycles,
 /// instructions, LLC misses, branch misses; userspace only). Construction
 /// probes each event and keeps whatever the kernel grants — on a denied
@@ -121,35 +119,6 @@ class CounterSpan {
 /// Idempotent and cheap; called from server startup and bench mains so
 /// the series are scrapeable before any span runs.
 void RegisterProfProcessMetrics(MetricsRegistry* registry = nullptr);
-
-#else  // SUBEX_OBS_DISABLED
-
-class PerfCounterGroup {
- public:
-  bool available() const { return false; }
-  PerfCounterValues Read() const { return {}; }
-  static PerfCounterGroup& ThisThread() {
-    static PerfCounterGroup group;
-    return group;
-  }
-  static bool SupportedOnThisSystem() { return false; }
-};
-
-struct ProfCounterSet {
-  static ProfCounterSet ForKernel(const std::string&,
-                                  MetricsRegistry* = nullptr) {
-    return {};
-  }
-};
-
-class CounterSpan {
- public:
-  explicit CounterSpan(const ProfCounterSet*) {}
-};
-
-inline void RegisterProfProcessMetrics(MetricsRegistry* = nullptr) {}
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace subex
 

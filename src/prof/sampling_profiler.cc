@@ -1,7 +1,5 @@
 #include "prof/sampling_profiler.h"
 
-#ifndef SUBEX_OBS_DISABLED
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -483,5 +481,3 @@ void RegisterProfProcessMetrics(MetricsRegistry* registry) {
 #endif  // __linux__
 
 }  // namespace subex
-
-#endif  // SUBEX_OBS_DISABLED

@@ -23,8 +23,6 @@ struct SamplingProfilerOptions {
   std::size_t ring_capacity = 4096;
 };
 
-#ifndef SUBEX_OBS_DISABLED
-
 /// Wall-clock sampling profiler: every registered thread gets a
 /// `timer_create(CLOCK_MONOTONIC, SIGEV_THREAD_ID)` POSIX timer delivering
 /// SIGPROF at `sample_hz`; the async-signal-safe handler captures a
@@ -84,32 +82,6 @@ class SamplingProfiler {
  private:
   SamplingProfiler() = default;
 };
-
-#else  // SUBEX_OBS_DISABLED
-
-class SamplingProfiler {
- public:
-  static SamplingProfiler& Global() {
-    static SamplingProfiler profiler;
-    return profiler;
-  }
-  bool Start(const SamplingProfilerOptions& = {}, std::string* error = nullptr) {
-    if (error != nullptr) *error = "observability compiled out";
-    return false;
-  }
-  void Stop() {}
-  bool running() const { return false; }
-  void RegisterCurrentThread() {}
-  void UnregisterCurrentThread() {}
-  static bool SupportedOnThisSystem() { return false; }
-  std::uint64_t samples() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  int sample_hz() const { return 0; }
-  std::string ToCollapsedText() const { return {}; }
-  void Clear() {}
-};
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace subex
 

@@ -134,7 +134,7 @@ ScoreVectorPtr ScoringService::ComputeAndPublish(
   score_histogram_->Record(compute_ns);
   detector_histogram_->Record(compute_ns);
   // Attach the compute interval to the calling request's trace (the server
-  // installs it around ComputeResponse); orphan span otherwise.
+  // installs it around the request handler); orphan span otherwise.
   RecordCompletedSpan("detect.score", start, compute_ns);
   stats_->RecordMiss();
   // Publish to the cache *before* retiring the in-flight entry so a request

@@ -12,8 +12,6 @@
 namespace subex {
 namespace {
 
-#ifndef SUBEX_OBS_DISABLED
-
 EventLogOptions DeterministicOptions(std::size_t ring, double burst) {
   EventLogOptions options;
   options.ring_capacity = ring;
@@ -152,18 +150,6 @@ TEST(SlowRequestCaptureTest, RingKeepsNewestCaptures) {
   EXPECT_NE(json.find("\"request_id\":3"), std::string::npos);
   EXPECT_NE(json.find("\"request_id\":4"), std::string::npos);
 }
-
-#else  // SUBEX_OBS_DISABLED
-
-TEST(EventLogTest, DisabledBuildSuppressesEverything) {
-  EventLog& log = EventLog::Global();
-  EXPECT_FALSE(log.Emit(EventSeverity::kError, "anything"));
-  EXPECT_EQ(log.emitted(), 0u);
-  EXPECT_EQ(log.ToJson(), "{\"emitted\":0,\"suppressed\":0,\"recent\":[]}");
-  SUBEX_EVENT(EventSeverity::kWarn, "noop", "{}");  // Compiles to nothing.
-}
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace
 }  // namespace subex

@@ -170,7 +170,6 @@ TEST_F(ExplainServerTest, StatsEndpointReportsServerAndServiceCounters) {
   EXPECT_NE(reply.json.find("\"hit_rate\""), std::string::npos);
 }
 
-#ifndef SUBEX_OBS_DISABLED
 TEST_F(ExplainServerTest, StatsEndpointCarriesLatencyHistograms) {
   StartServer();
   ExplainClient client = MakeClient();
@@ -191,7 +190,6 @@ TEST_F(ExplainServerTest, StatsEndpointCarriesLatencyHistograms) {
   EXPECT_NE(reply.json.find("\"net.bytes_received\""), std::string::npos);
   EXPECT_NE(reply.json.find("\"serve.connections\""), std::string::npos);
 }
-#endif  // SUBEX_OBS_DISABLED
 
 TEST_F(ExplainServerTest, InvalidRequestsGetErrorRepliesNotDisconnects) {
   StartServer();
@@ -442,14 +440,15 @@ TEST_F(ExplainServerTest, MalformedTraceHeaderGetsErrorNotCrash) {
   EXPECT_TRUE(client.Score("LOF", Subspace({0, 1})).ok());
 }
 
-/// Scrapes `GET path` from the server's HTTP metrics listener and returns
+/// Sends `method path` to the server's HTTP metrics listener and returns
 /// the raw response (empty on connect failure).
-std::string HttpGet(std::uint16_t port, const std::string& path) {
+std::string HttpRequest(std::uint16_t port, const std::string& method,
+                        const std::string& path) {
   std::string error;
   Socket sock = ConnectTcp("127.0.0.1", port, 2000, &error);
   if (!sock.valid()) return "";
   const std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
+      method + " " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
   if (!SendAll(sock.fd(), reinterpret_cast<const std::uint8_t*>(request.data()),
                request.size(), 1000, &error)) {
     return "";
@@ -474,19 +473,19 @@ TEST_F(ExplainServerTest, MetricsEndpointServesPrometheusText) {
   ExplainClient client = MakeClient();
   ASSERT_TRUE(client.Score("LOF", Subspace({0, 1})).ok());
 
-  const std::string response = HttpGet(server_->metrics_port(), "/metrics");
-#ifndef SUBEX_OBS_DISABLED
+  const std::string response =
+      HttpRequest(server_->metrics_port(), "GET", "/metrics");
   EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos) << response;
   EXPECT_NE(response.find("text/plain; version=0.0.4"), std::string::npos);
   EXPECT_NE(response.find("subex_serve_request_seconds_count"),
             std::string::npos);
   EXPECT_NE(response.find("subex_server_uptime_seconds"), std::string::npos);
-#else
-  EXPECT_NE(response.find("HTTP/1.1 503"), std::string::npos) << response;
-#endif
 
   // Unknown paths 404, non-GET methods 405; both leave the server healthy.
-  EXPECT_NE(HttpGet(server_->metrics_port(), "/nope").find("404"),
+  EXPECT_NE(HttpRequest(server_->metrics_port(), "GET", "/nope").find("404"),
+            std::string::npos);
+  EXPECT_NE(HttpRequest(server_->metrics_port(), "POST", "/metrics")
+                .find("HTTP/1.1 405"),
             std::string::npos);
   EXPECT_TRUE(client.Score("LOF", Subspace({0, 2})).ok());
 }
@@ -501,8 +500,6 @@ TEST_F(ExplainServerTest, StatsCarriesUptimeAndBuildInfo) {
   EXPECT_NE(reply.json.find("\"obs_enabled\""), std::string::npos);
   EXPECT_NE(reply.json.find("\"events\""), std::string::npos);
 }
-
-#ifndef SUBEX_OBS_DISABLED
 
 /// Formats an id the way the exporters do ("0x%016llx").
 std::string HexId(std::uint64_t id) {
@@ -594,6 +591,51 @@ TEST_F(ExplainServerTest, SlowRequestsRetainTheirSpanBreakdown) {
   EXPECT_NE(reply.json.find("\"spans\""), std::string::npos);
 }
 
+/// The `count` of histogram `name` in a kStats JSON document, or -1 when
+/// the histogram is absent.
+long long HistogramCount(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\":{\"count\":";
+  const std::size_t at = json.find(key);
+  if (at == std::string::npos) return -1;
+  return std::stoll(json.substr(at + key.size()));
+}
+
+// One request of every type, each answered (errors included): every type
+// must get its own serve.request.<name> histogram and slow-request label.
+TEST_F(ExplainServerTest, EveryRequestTypeHasAHistogramAndASlowLabel) {
+  ExplainServerOptions options;
+  options.slow_request_threshold_ms = 0.000001;  // Everything is "slow".
+  StartServer(options);
+  ExplainClient client = MakeClient();
+  const int point = data_.dataset.outlier_indices().front();
+  EXPECT_TRUE(client.Score("LOF", Subspace({0, 1})).ok());
+  EXPECT_TRUE(client.Explain("LOF", "Beam", point, 2).ok());
+  EXPECT_TRUE(client.Stats().ok());
+  EXPECT_TRUE(client.TraceDump().ok());
+  // No online dataset is registered: these three come back as error
+  // replies, which still pass through the server's per-type accounting.
+  EXPECT_EQ(client.Ingest("stream", 1, {1.0}).status,
+            ClientStatus::kServerError);
+  EXPECT_EQ(client.OnlineScore("stream", "LODA", Subspace({0})).status,
+            ClientStatus::kServerError);
+  EXPECT_EQ(client.OnlineExplain("stream", "LODA", "Beam", 0, 2).status,
+            ClientStatus::kServerError);
+  EXPECT_TRUE(client.ProfDump().ok());
+
+  const ExplainClient::StatsReply reply = client.Stats();
+  ASSERT_TRUE(reply.ok()) << reply.error;
+  const std::size_t slow = reply.json.find("\"slow_requests\"");
+  ASSERT_NE(slow, std::string::npos);
+  for (const char* name : {"score", "explain", "stats", "trace_dump", "ingest",
+                           "online_score", "online_explain", "prof"}) {
+    EXPECT_GE(HistogramCount(reply.json, std::string("serve.request.") + name),
+              1)
+        << name;
+    const std::string label = std::string("\"label\":\"") + name + "\"";
+    EXPECT_NE(reply.json.find(label, slow), std::string::npos) << name;
+  }
+}
+
 TEST_F(ExplainServerTest, IdleTimeoutEmitsAStructuredEvent) {
   ExplainServerOptions options;
   options.idle_timeout_ms = 50;
@@ -665,8 +707,6 @@ TEST_F(ExplainServerTest, ProfDumpWhenSamplerUnsupportedStillReplies) {
   ASSERT_TRUE(stopped.ok()) << stopped.error;
   EXPECT_NE(stopped.text.find("\"running\":false"), std::string::npos);
 }
-
-#endif  // SUBEX_OBS_DISABLED
 
 TEST(ServerStatsSnapshotTest, ToJsonContainsEveryCounter) {
   ServerStatsSnapshot snap;

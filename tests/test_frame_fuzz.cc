@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,6 +45,19 @@ std::vector<std::vector<std::uint8_t>> CorpusPayloads() {
           14, ProfDumpRequest{ProfAction::kStart, 97, false}, trace,
           deadline));
     }
+  }
+  return corpus;
+}
+
+/// Well-framed payloads whose bodies the decoders must reject: ingest rows
+/// carrying NaN or an infinity never reach an online window or its WAL.
+std::vector<std::vector<std::uint8_t>> RejectedPayloads() {
+  std::vector<std::vector<std::uint8_t>> corpus;
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    corpus.push_back(EncodeIngestRequest(
+        15, IngestRequest{"stream", 2, {1.0, bad, 3.0, 4.0}}));
   }
   return corpus;
 }
@@ -123,6 +137,31 @@ TEST(FrameFuzz, IntactFramesSurviveArbitraryChunking) {
     bool error = false;
     EXPECT_EQ(DrainInChunks(stream, rng, &error),
               static_cast<int>(corpus.size()));
+    EXPECT_FALSE(error);
+  }
+}
+
+TEST(FrameFuzz, NonFiniteIngestFramesAreRejectedAmidValidOnes) {
+  // Interleave rejected frames with the valid corpus: each still frames
+  // cleanly (no sticky decoder error), only its body decode fails.
+  const std::vector<std::vector<std::uint8_t>> valid = CorpusPayloads();
+  const std::vector<std::vector<std::uint8_t>> rejected = RejectedPayloads();
+  std::vector<std::uint8_t> stream;
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    for (const std::vector<std::uint8_t>* payload :
+         {&valid[i], &rejected[i % rejected.size()]}) {
+      const std::vector<std::uint8_t> frame = EncodeFrame(*payload);
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+  }
+  for (const std::vector<std::uint8_t>& payload : rejected) {
+    EXPECT_FALSE(DecodePayload(payload));
+  }
+  Rng rng(20261017);
+  for (int round = 0; round < 20; ++round) {
+    bool error = false;
+    EXPECT_EQ(DrainInChunks(stream, rng, &error),
+              static_cast<int>(valid.size()));
     EXPECT_FALSE(error);
   }
 }

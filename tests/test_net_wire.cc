@@ -269,6 +269,23 @@ TEST(ProtocolTest, IngestRequestRoundTripValidatesRowTiling) {
   EXPECT_FALSE(DecodeIngestRequest(bad_reader, &back));
 }
 
+TEST(ProtocolTest, IngestRequestRejectsNonFiniteValues) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    IngestRequest request;
+    request.dataset = "stream";
+    request.num_rows = 2;
+    request.values = {1.0, 2.0, bad, 4.0};
+    const std::vector<std::uint8_t> payload = EncodeIngestRequest(14, request);
+    WireReader reader(payload);
+    MessageHeader header;
+    ASSERT_TRUE(DecodeHeader(reader, &header));
+    IngestRequest back;
+    EXPECT_FALSE(DecodeIngestRequest(reader, &back)) << bad;
+  }
+}
+
 TEST(ProtocolTest, IngestResultRoundTrip) {
   IngestResult result;
   result.accepted = 7;

@@ -55,10 +55,7 @@ TEST(HistogramTest, RelativeBucketWidthIsBounded) {
 }
 
 // --------------------------------------------------------------------------
-// Recording and snapshots. Everything below observes recorded values, so it
-// only applies when instrumentation is compiled in; under SUBEX_OBS_DISABLED
-// the mutators are no-ops by design (the bucket geometry above still holds).
-#ifndef SUBEX_OBS_DISABLED
+// Recording and snapshots.
 
 TEST(HistogramTest, SnapshotCountsSumAndMax) {
   Histogram h;
@@ -355,8 +352,6 @@ TEST(HistogramTest, SnapshotCarriesP999AndWeightedMean) {
 TEST(HistogramTest, WeightedMeanOfEmptySnapshotIsZero) {
   EXPECT_DOUBLE_EQ(Histogram().snapshot().WeightedMeanNs(), 0.0);
 }
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace
 }  // namespace subex

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,9 +22,11 @@ namespace {
 /// server, plus a drifting stream to ingest from.
 class OnlineServeTest : public ::testing::Test {
  protected:
-  void StartServer() {
+  /// `wal_dir` non-empty turns on the dataset's WAL there.
+  void StartServer(const std::string& wal_dir = "") {
     OnlineDatasetOptions options;
     options.name = "stream";
+    options.wal_dir = wal_dir;
     options.window_capacity = 64;
     options.advance_every = 16;
     options.min_score_window = 16;
@@ -202,6 +207,42 @@ TEST_F(OnlineServeTest, OnlineErrorsAreReported) {
   explain = client.OnlineExplain("stream", "LODA", "Beam", 0, 1);
   EXPECT_EQ(explain.status, ClientStatus::kServerError);
   EXPECT_NE(explain.error.find("target_dim"), std::string::npos);
+}
+
+TEST_F(OnlineServeTest, NonFiniteIngestLeavesWindowAndWalUnchanged) {
+  const std::string dir = ::testing::TempDir() + "subex_online_serve_nan_" +
+                          std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
+  ::unlink((dir + "/stream.wal").c_str());
+  ::unlink((dir + "/stream.ckpt").c_str());
+  StartServer(dir);
+  ExplainClient client = MakeClient();
+  ASSERT_TRUE(client.Ingest("stream", 8, NextRows(8)).ok());
+  const OnlineDataset::StatsSnapshot before = dataset_->stats();
+  ASSERT_TRUE(before.wal_enabled);
+  ASSERT_GT(before.wal_records, 0u);
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> rows = NextRows(2);
+    rows[3] = bad;
+    const ExplainClient::IngestReply reply = client.Ingest("stream", 2, rows);
+    EXPECT_EQ(reply.status, ClientStatus::kServerError);
+    EXPECT_NE(reply.error.find("malformed kIngest body"), std::string::npos)
+        << reply.error;
+  }
+
+  const OnlineDataset::StatsSnapshot after = dataset_->stats();
+  EXPECT_EQ(after.total_ingested, before.total_ingested);
+  EXPECT_EQ(after.pending, before.pending);
+  EXPECT_EQ(after.wal_records, before.wal_records);
+  EXPECT_EQ(after.wal_bytes, before.wal_bytes);
+  struct stat wal_file {};
+  ASSERT_EQ(::stat((dir + "/stream.wal").c_str(), &wal_file), 0);
+  EXPECT_EQ(static_cast<std::uint64_t>(wal_file.st_size), after.wal_bytes);
+  // The connection stays usable for well-formed ingest.
+  EXPECT_TRUE(client.Ingest("stream", 2, NextRows(2)).ok());
 }
 
 TEST_F(OnlineServeTest, StatsServesOnlineSection) {

@@ -52,8 +52,6 @@ TEST(PerfCounterValuesTest, RatioMathHandlesZeroDenominators) {
   EXPECT_EQ(values.LlcMissPerKiloInst(), 2);
 }
 
-#ifndef SUBEX_OBS_DISABLED
-
 TEST(PerfCounterGroupTest, UnavailableGroupReadsInvalidZeros) {
   PerfCounterGroup& group = PerfCounterGroup::ThisThread();
   const PerfCounterValues values = group.Read();
@@ -253,34 +251,6 @@ TEST(ProfDegradation, SamplerForcedOffByEnvironment) {
   EXPECT_FALSE(profiler.running());
   EXPECT_TRUE(profiler.ToCollapsedText().empty());
 }
-
-#else  // SUBEX_OBS_DISABLED
-
-// The disabled stubs must be inert but callable — code written against the
-// profiling API compiles and runs unchanged.
-TEST(ProfDisabledTest, StubsAreInertNoOps) {
-  EXPECT_FALSE(PerfCounterGroup::SupportedOnThisSystem());
-  EXPECT_FALSE(PerfCounterGroup::ThisThread().available());
-  EXPECT_FALSE(PerfCounterGroup::ThisThread().Read().valid);
-  ProfCounterSet set = ProfCounterSet::ForKernel("anything");
-  { CounterSpan span(&set); }
-  RegisterProfProcessMetrics();
-
-  EXPECT_FALSE(SamplingProfiler::SupportedOnThisSystem());
-  SamplingProfiler& profiler = SamplingProfiler::Global();
-  std::string error;
-  EXPECT_FALSE(profiler.Start({}, &error));
-  EXPECT_EQ(error, "observability compiled out");
-  EXPECT_EQ(profiler.samples(), 0u);
-  EXPECT_TRUE(profiler.ToCollapsedText().empty());
-
-  MetricsHttpServer server;
-  EXPECT_FALSE(server.Start(0, &error));
-  EXPECT_FALSE(server.running());
-  server.Stop();
-}
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace
 }  // namespace subex

@@ -11,10 +11,6 @@
 namespace subex {
 namespace {
 
-// The renderer emits real samples only for instruments that recorded,
-// which requires instrumentation; under SUBEX_OBS_DISABLED the mutators are
-// no-ops, so only the shape-of-empty and build-info checks apply.
-
 TEST(PrometheusTest, EmptyRegistryRendersEmptyBody) {
   MetricsRegistry registry;
   EXPECT_EQ(RenderPrometheusText(registry), "");
@@ -26,8 +22,6 @@ TEST(BuildInfoTest, BuildInfoIsValidJson) {
   EXPECT_NE(json.find("\"obs_enabled\""), std::string::npos);
   EXPECT_NE(json.find("\"compiler\""), std::string::npos);
 }
-
-#ifndef SUBEX_OBS_DISABLED
 
 TEST(PrometheusTest, CountersGetTotalSuffixAndTypeLine) {
   MetricsRegistry registry;
@@ -82,8 +76,6 @@ TEST(PrometheusTest, SnapshotOverloadMatchesRegistryOverload) {
   EXPECT_EQ(RenderPrometheusText(registry),
             RenderPrometheusText(registry.Snapshot()));
 }
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace
 }  // namespace subex

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -28,27 +29,21 @@ SyntheticDataset SmallHics(std::uint64_t seed = 77) {
   return GenerateHicsDataset(config);
 }
 
-/// Counts `Score` invocations and, while the latch is armed, blocks the
-/// computing thread until every test thread has issued its request — making
-/// the single-flight race window deterministic.
+/// Counts `Score` invocations and, when given a `release` gate, blocks the
+/// computing thread until the gate opens — e.g. until every test thread has
+/// issued its request — making the single-flight race window deterministic.
 class CountingDetector : public Detector {
  public:
-  CountingDetector(const Detector& inner, std::atomic<int>* arrivals = nullptr,
-                   int expected_arrivals = 0)
-      : inner_(inner),
-        arrivals_(arrivals),
-        expected_arrivals_(expected_arrivals) {}
+  explicit CountingDetector(const Detector& inner,
+                            std::function<bool()> release = nullptr)
+      : inner_(inner), release_(std::move(release)) {}
 
   std::string name() const override { return inner_.name(); }
 
   std::vector<double> Score(const Dataset& data,
                             const Subspace& subspace) const override {
     computes_.fetch_add(1);
-    if (arrivals_ != nullptr) {
-      while (arrivals_->load() < expected_arrivals_) {
-        std::this_thread::yield();
-      }
-    }
+    while (release_ && !release_()) std::this_thread::yield();
     return inner_.Score(data, subspace);
   }
 
@@ -56,8 +51,7 @@ class CountingDetector : public Detector {
 
  private:
   const Detector& inner_;
-  std::atomic<int>* arrivals_;
-  int expected_arrivals_;
+  std::function<bool()> release_;
   mutable std::atomic<int> computes_{0};
 };
 
@@ -105,7 +99,8 @@ TEST(ScoringServiceTest, SingleFlightComputesOnceUnderConcurrentRequests) {
   const Lof lof(15);
   constexpr int kThreads = 8;
   std::atomic<int> arrivals{0};
-  const CountingDetector counting(lof, &arrivals, kThreads);
+  const CountingDetector counting(
+      lof, [&] { return arrivals.load() >= kThreads; });
   ScoringService service(counting, d.dataset);
 
   const Subspace s({0, 3});
@@ -134,17 +129,22 @@ TEST(ScoringServiceTest, SingleFlightAlsoDedupsWithCacheDisabled) {
   const SyntheticDataset d = SmallHics();
   const Lof lof(15);
   constexpr int kThreads = 4;
-  std::atomic<int> arrivals{0};
-  const CountingDetector counting(lof, &arrivals, kThreads);
+  // Hold the leader until every other thread has joined its in-flight
+  // compute. Gating on arrival instead races: a thread that arrives but
+  // reaches Score only after the leader retired its entry recomputes.
+  const ScoringService* gate = nullptr;
+  const CountingDetector counting(lof, [&] {
+    return gate->stats().dedup_joins == kThreads - 1u;
+  });
   ScoringServiceOptions options;
   options.enable_cache = false;
   ScoringService service(counting, d.dataset, options);
+  gate = &service;
 
   const Subspace s({2, 5});
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      arrivals.fetch_add(1);
       EXPECT_EQ(*service.Score(s), ScoreStandardized(lof, d.dataset, s));
     });
   }

@@ -11,11 +11,6 @@
 namespace subex {
 namespace {
 
-// Everything here observes collected spans, which only exist when
-// instrumentation is compiled in; under SUBEX_OBS_DISABLED the collector is
-// an inert stub whose export is the empty document (checked at the bottom).
-#ifndef SUBEX_OBS_DISABLED
-
 SpanRecord MakeSpan(const char* name, std::uint64_t trace_id,
                     std::uint64_t start_ns, std::uint64_t duration_ns) {
   SpanRecord record;
@@ -118,12 +113,24 @@ TEST(SpanCollectorTest, ChromeTraceJsonIsValidAndCarriesTraceIds) {
 
 TEST(SpanCollectorTest, ClearKeepsCollectingAfterwards) {
   SpanCollector collector;
-  collector.Enable(8);
+  collector.Enable(4);
   collector.Record(MakeSpan("before", 1, 1, 1));
   collector.Clear();
   EXPECT_TRUE(collector.Snapshot().empty());
   collector.Record(MakeSpan("after", 1, 2, 1));
   EXPECT_EQ(collector.Snapshot().size(), 1u);
+
+  // Clear the partly filled ring, then wrap it: the capacity, the drop
+  // count and the oldest-first order (equal starts keep ring order) hold.
+  collector.Clear();
+  const char* names[] = {"0", "1", "2", "3", "4", "5"};
+  for (const char* name : names) collector.Record(MakeSpan(name, 1, 7, 1));
+  const std::vector<SpanRecord> spans = collector.Snapshot();
+  ASSERT_EQ(spans.size(), 4u);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].name, names[i + 2]);
+  }
+  EXPECT_EQ(collector.dropped(), 2u);
 }
 
 TEST(SpanCollectorTest, SteadyToWallPreservesDeltas) {
@@ -131,19 +138,6 @@ TEST(SpanCollectorTest, SteadyToWallPreservesDeltas) {
   const std::uint64_t b = SteadyToWallNs(4000000);
   EXPECT_EQ(b - a, 3000000u);
 }
-
-#else  // SUBEX_OBS_DISABLED
-
-TEST(SpanCollectorTest, DisabledBuildExportsEmptyDocument) {
-  SpanCollector& collector = SpanCollector::Global();
-  collector.Enable(8);
-  EXPECT_FALSE(collector.enabled());
-  EXPECT_EQ(NextTraceId(), 0u);
-  EXPECT_EQ(collector.ToChromeTraceJson(),
-            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
-}
-
-#endif  // SUBEX_OBS_DISABLED
 
 }  // namespace
 }  // namespace subex
