@@ -50,7 +50,8 @@ class Rng {
   Rng Fork() { return Rng(engine_()); }
 
   /// Samples `k` distinct values from `[0, n)` without replacement,
-  /// returned in ascending order. Requires `k <= n`.
+  /// returned in ascending order. Requires `k <= n`. Makes exactly `k`
+  /// draws; costs O(n + k) time and O(n) scratch.
   std::vector<int> SampleWithoutReplacement(int n, int k);
 
   /// In-place Fisher-Yates shuffle.

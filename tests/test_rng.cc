@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -103,6 +104,33 @@ TEST(RngTest, SampleWithoutReplacementCoversAllValues) {
     for (int v : rng.SampleWithoutReplacement(10, 3)) seen.insert(v);
   }
   EXPECT_EQ(seen.size(), 10u);
+}
+
+// Literal outputs for fixed seeds, plus the draw that follows each sample:
+// together they pin both the sampled values and how many draws the sampler
+// consumed, which the property tests above would not notice changing.
+TEST(RngTest, SampleWithoutReplacementPinnedOutput) {
+  struct Case {
+    std::uint64_t seed;
+    int n;
+    int k;
+    std::vector<int> expected;
+    int next_draw;
+  };
+  const std::vector<Case> cases = {
+      {1, 10, 0, {}, 143748952},
+      {2, 6, 6, {0, 1, 2, 3, 4, 5}, 241098694},
+      {3, 9, 8, {0, 1, 2, 3, 4, 5, 6, 8}, 756692667},
+      {4, 20, 5, {1, 7, 10, 12, 19}, 60544439},
+      {5, 1000, 7, {38, 90, 96, 129, 224, 669, 673}, 738497251},
+      {6, 12, 11, {0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11}, 936403806},
+  };
+  for (const Case& c : cases) {
+    Rng rng(c.seed);
+    EXPECT_EQ(rng.SampleWithoutReplacement(c.n, c.k), c.expected)
+        << "seed " << c.seed;
+    EXPECT_EQ(rng.UniformInt(0, 1 << 30), c.next_draw) << "seed " << c.seed;
+  }
 }
 
 TEST(RngTest, ShufflePermutes) {
