@@ -79,6 +79,25 @@ void BM_LofByDim(benchmark::State& state) {
   }
 }
 
+// The shared kNN kernel of LOF, Fast ABOD and kNN-distance alone, in the
+// `grid_batch` shape: a 300-point, 10-feature HiCS dataset, k = 15 (LOF's
+// default), one subspace of the first `state.range(0)` features.
+void BM_Knn(benchmark::State& state) {
+  HicsGeneratorConfig config;
+  config.num_points = 300;
+  config.subspace_dims = {2, 2, 3, 3};
+  config.seed = 1;
+  const Dataset data = GenerateHicsDataset(config).dataset;
+  std::vector<FeatureId> features;
+  for (int f = 0; f < state.range(0); ++f) features.push_back(f);
+  const Subspace subspace(features);
+  const ProfCounterSet prof = ProfCounterSet::ForKernel("kernel.kNN");
+  for (auto _ : state) {
+    CounterSpan prof_span(&prof);
+    benchmark::DoNotOptimize(ComputeKnn(data, subspace, 15));
+  }
+}
+
 void BM_HicsContrast(benchmark::State& state) {
   const Dataset data = MakeData(static_cast<int>(state.range(0)), 10);
   Hics::Options options;
@@ -103,6 +122,7 @@ BENCHMARK(BM_IForestSingleRepetition)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_LofByDim)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Unit(
     benchmark::kMillisecond);
+BENCHMARK(BM_Knn)->Arg(2)->Arg(3)->Arg(7)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_HicsContrast)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // Console reporter that additionally captures every measured run into a

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "common/topk.h"
+#include "knn_pinned_data.h"
 
 namespace subex {
 namespace {
@@ -103,6 +104,30 @@ TEST(FastAbodTest, NameAndK) {
   const FastAbod abod(12);
   EXPECT_EQ(abod.name(), "FastABOD");
   EXPECT_EQ(abod.k(), 12);
+}
+
+// The exact score bits, pinned over the shared kNN pin cases: any change to
+// the neighbour lists or the per-point accumulation order shows up here.
+// FastABOD needs k >= 2, so its smallest pinned k is 2.
+TEST(FastAbodTest, PinnedScoreBits) {
+  using namespace knn_pinned;
+  std::vector<std::uint64_t> hashes;
+  for (const Case& c : Cases({2, 10, 15})) {
+    std::uint64_t hash = kFnvOffsetBasis;
+    for (int k : c.ks) {
+      const FastAbod detector(k);
+      for (const Subspace& s : Subspaces(c.data)) {
+        hash = HashDoubles(hash, detector.Score(c.data, s));
+      }
+    }
+    hashes.push_back(hash);
+  }
+  const std::vector<std::uint64_t> pinned = {
+      0xc72b2998eeee29d9ull,  // HiCS n = 300
+      0x5ef3055dce1bf693ull,  // HiCS n = 1000
+      0x459635dabc5e2725ull,  // duplicate-heavy
+  };
+  EXPECT_EQ(hashes, pinned);
 }
 
 }  // namespace

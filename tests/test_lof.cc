@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "common/topk.h"
+#include "knn_pinned_data.h"
 
 namespace subex {
 namespace {
@@ -120,6 +121,29 @@ TEST(LofTest, ScoresIndependentOfK) {
     const std::vector<double> scores = lof.Score(d, Subspace());
     EXPECT_EQ(TopKIndices(scores, 1).front(), 99) << "k=" << k;
   }
+}
+
+// The exact score bits, pinned over the shared kNN pin cases: any change to
+// the neighbour lists or the per-point accumulation order shows up here.
+TEST(LofTest, PinnedScoreBits) {
+  using namespace knn_pinned;
+  std::vector<std::uint64_t> hashes;
+  for (const Case& c : Cases({1, 10, 15})) {
+    std::uint64_t hash = kFnvOffsetBasis;
+    for (int k : c.ks) {
+      const Lof detector(k);
+      for (const Subspace& s : Subspaces(c.data)) {
+        hash = HashDoubles(hash, detector.Score(c.data, s));
+      }
+    }
+    hashes.push_back(hash);
+  }
+  const std::vector<std::uint64_t> pinned = {
+      0xf33e89a641d1d4a6ull,  // HiCS n = 300
+      0xecdaf7d90da22d9aull,  // HiCS n = 1000
+      0xafc875d422fbc1f5ull,  // duplicate-heavy
+  };
+  EXPECT_EQ(hashes, pinned);
 }
 
 }  // namespace
