@@ -11,6 +11,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "detect/knn.h"
+#include "detect/lof.h"
 
 namespace subex {
 namespace {
@@ -25,15 +26,6 @@ std::vector<FeatureId> ResolveFeatures(const ChunkedDataset& data,
   std::vector<FeatureId> full(data.num_cols());
   std::iota(full.begin(), full.end(), 0);
   return full;
-}
-
-/// The exact comparator `ComputeKnn` hands to partial_sort. Indices are
-/// unique, so this is a total order: the k smallest candidates — and their
-/// sorted order — are independent of arrival order, which is what lets a
-/// streaming heap reproduce partial_sort's output bit for bit.
-bool NeighborLess(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
-  return a.index < b.index;
 }
 
 /// Gathers the subspace feature values of `rows` (any order) into a
@@ -67,10 +59,15 @@ std::vector<double> GatherRows(ChunkedDataset& data,
   return values;
 }
 
-/// Streaming batched brute-force kNN: one pass over the dataset's chunks
-/// computes, for every query row, the same k-nearest list `ComputeKnn`
-/// produces (sqrt'ed distances, (distance, index) tie-break, k clamped to
-/// n-1). Memory: |features| pinned chunks + O(|queries| * k) heap state.
+/// All point ids, for the empty-queries = "score everything" convention.
+std::vector<int> AllRows(const ChunkedDataset& data) {
+  std::vector<int> rows(data.num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  return rows;
+}
+
+}  // namespace
+
 std::vector<std::vector<Neighbor>> ComputeKnnChunked(
     ChunkedDataset& data, std::span<const FeatureId> features, int k,
     std::span<const int> queries) {
@@ -83,6 +80,8 @@ std::vector<std::vector<Neighbor>> ComputeKnnChunked(
   const std::vector<double> qvals = GatherRows(data, features, queries);
 
   // One max-heap of the k best candidates per query (top = worst kept).
+  // `NeighborLess` is a total order on candidates, so the heap keeps the
+  // same k as `ComputeKnn`'s sweep, whatever order the rows stream in.
   auto heap_cmp = NeighborLess;
   std::vector<std::vector<Neighbor>> heaps(queries.size());
   for (auto& h : heaps) h.reserve(k + 1);
@@ -128,15 +127,6 @@ std::vector<std::vector<Neighbor>> ComputeKnnChunked(
   }
   return heaps;
 }
-
-/// All point ids, for the empty-queries = "score everything" convention.
-std::vector<int> AllRows(const ChunkedDataset& data) {
-  std::vector<int> rows(data.num_rows());
-  std::iota(rows.begin(), rows.end(), 0);
-  return rows;
-}
-
-}  // namespace
 
 std::vector<double> ScoreKnnDistanceChunked(
     ChunkedDataset& data, const Subspace& subspace, int k,
@@ -197,7 +187,6 @@ std::vector<double> ScoreLofChunked(ChunkedDataset& data,
   }
 
   // Same formulas, constants and iteration order as `Lof::Score`.
-  constexpr double kEpsilon = 1e-10;
   auto k_distance = [&lists](int p) -> double {
     const auto it = lists.find(p);
     SUBEX_CHECK_MSG(it != lists.end(), "kNN list missing for point");
@@ -213,7 +202,7 @@ std::vector<double> ScoreLofChunked(ChunkedDataset& data,
       sum += std::max(k_distance(nb.index), nb.distance);
     }
     const double mean = sum / static_cast<double>(nbs.size());
-    const double value = 1.0 / std::max(mean, kEpsilon);
+    const double value = 1.0 / std::max(mean, kLofEpsilon);
     lrd.emplace(p, value);
     return value;
   };

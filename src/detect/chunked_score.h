@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "data/chunked_dataset.h"
+#include "detect/knn.h"
 #include "detect/knn_distance.h"
 #include "detect/loda.h"
 #include "subspace/subspace.h"
@@ -24,6 +25,16 @@ namespace subex {
 /// extends the set with the one- and two-hop neighborhoods it needs). An
 /// empty query span means all points — the cross-check path for data that
 /// also fits in RAM.
+
+/// Streaming batched brute-force kNN: one pass over the dataset's chunks
+/// computes, for every row of `queries`, the same k-nearest list
+/// `ComputeKnn` produces (sqrt'ed distances, `NeighborLess` order, k
+/// clamped to n-1), in query order. It streams rows in storage order, so
+/// it cannot sort them like `ComputeKnn` does and keeps a bounded heap per
+/// query instead. Memory: |features| pinned chunks + O(|queries| * k).
+std::vector<std::vector<Neighbor>> ComputeKnnChunked(
+    ChunkedDataset& data, std::span<const FeatureId> features, int k,
+    std::span<const int> queries);
 
 /// kNN-distance scores (k-th or mean neighbor distance) for `queries`,
 /// returned in query order. Empty `queries` = all points, in point order.

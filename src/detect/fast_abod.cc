@@ -33,7 +33,7 @@ std::vector<double> FastAbod::Score(const Dataset& data,
   constexpr double kMinSqNorm = 1e-18;  // Skip coincident points.
 
   for (int p = 0; p < n; ++p) {
-    const std::vector<Neighbor>& nbs = knn.neighbors[p];
+    const std::span<const Neighbor> nbs = knn.row(p);
     const std::size_t k = nbs.size();
     diffs.assign(k * dim, 0.0);
     sq_norms.assign(k, 0.0);

@@ -1,6 +1,9 @@
 #ifndef SUBEX_DETECT_KNN_H_
 #define SUBEX_DETECT_KNN_H_
 
+#include <cmath>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -14,23 +17,45 @@ struct Neighbor {
   int index = -1;
 };
 
+/// The one neighbor order of every kNN path: ascending distance, a NaN
+/// distance after every number, ties (NaN included) broken by index. It is
+/// a strict weak order on all doubles, and a total order on neighbors with
+/// distinct indices, so the k smallest — and their order — do not depend on
+/// the order candidates are visited in.
+inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
+  if (a.distance < b.distance) return true;
+  if (b.distance < a.distance) return false;
+  const bool a_nan = std::isnan(a.distance);
+  if (a_nan != std::isnan(b.distance)) return !a_nan;
+  return a.index < b.index;
+}
+
 /// k-nearest-neighbor lists for every point of a dataset within one
-/// subspace. `neighbors[p]` holds up to k entries sorted by ascending
-/// distance, excluding `p` itself. Ties are broken by point index so
-/// results are deterministic.
+/// subspace, in one flat n x k array. `row(p)` holds p's k neighbors sorted
+/// by `NeighborLess`, excluding `p` itself.
 struct KnnTable {
   int k = 0;
-  std::vector<std::vector<Neighbor>> neighbors;
+  std::vector<Neighbor> entries;  // Row-major: row p is [p * k, p * k + k).
+
+  std::span<const Neighbor> row(int p) const {
+    return {entries.data() + static_cast<std::size_t>(p) * k,
+            static_cast<std::size_t>(k)};
+  }
 
   /// Distance from point `p` to its k-th nearest neighbor.
-  double KDistance(int p) const { return neighbors[p].back().distance; }
+  double KDistance(int p) const {
+    return entries[static_cast<std::size_t>(p) * k + k - 1].distance;
+  }
 };
 
-/// Brute-force kNN over all points, restricted to `subspace` (empty =
-/// full space). O(n^2 * |subspace|) time, O(n * k) memory. `k` is clamped
-/// to n-1. This is the shared substrate of LOF and Fast ABOD; brute force
-/// is the right tool here because explainers query thousands of *different*
-/// low-dimensional subspaces, so no index amortizes.
+/// Exact kNN of every point, restricted to `subspace` (empty = full space).
+/// `k` is clamped to n-1. This is the shared substrate of LOF, Fast ABOD
+/// and kNN-distance. Explainers query thousands of *different*
+/// low-dimensional subspaces, so no index amortizes; instead each call
+/// sorts the points along the subspace's first feature and sweeps outward
+/// from every point, stopping a direction once the axis gap alone exceeds
+/// the current k-th distance. O(n log n + n * visited * |subspace|) time,
+/// O(n * k) output and O(n * |subspace|) per-thread scratch.
 KnnTable ComputeKnn(const Dataset& data, const Subspace& subspace, int k);
 
 }  // namespace subex

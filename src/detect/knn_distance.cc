@@ -19,8 +19,10 @@ std::vector<double> KnnDistance::Score(const Dataset& data,
       scores[p] = knn.KDistance(static_cast<int>(p));
     } else {
       double sum = 0.0;
-      for (const Neighbor& nb : knn.neighbors[p]) sum += nb.distance;
-      scores[p] = sum / static_cast<double>(knn.neighbors[p].size());
+      for (const Neighbor& nb : knn.row(static_cast<int>(p))) {
+        sum += nb.distance;
+      }
+      scores[p] = sum / static_cast<double>(knn.k);
     }
   }
   return scores;

@@ -16,26 +16,22 @@ std::vector<double> Lof::Score(const Dataset& data,
 
   // Local reachability density:
   //   lrd_k(p) = 1 / mean_{o in kNN(p)} max(k-dist(o), d(p, o)).
-  // Duplicate-heavy data can make the mean reachability distance zero; the
-  // epsilon keeps lrd finite and preserves ordering.
-  constexpr double kEpsilon = 1e-10;
+  const double k = static_cast<double>(knn.k);
   std::vector<double> lrd(n);
   for (int p = 0; p < n; ++p) {
     double sum = 0.0;
-    for (const Neighbor& nb : knn.neighbors[p]) {
+    for (const Neighbor& nb : knn.row(p)) {
       sum += std::max(knn.KDistance(nb.index), nb.distance);
     }
-    const double mean = sum / static_cast<double>(knn.neighbors[p].size());
-    lrd[p] = 1.0 / std::max(mean, kEpsilon);
+    lrd[p] = 1.0 / std::max(sum / k, kLofEpsilon);
   }
 
   // LOF_k(p) = mean_{o in kNN(p)} lrd(o) / lrd(p).
   std::vector<double> scores(n);
   for (int p = 0; p < n; ++p) {
     double sum = 0.0;
-    for (const Neighbor& nb : knn.neighbors[p]) sum += lrd[nb.index];
-    scores[p] =
-        sum / (static_cast<double>(knn.neighbors[p].size()) * lrd[p]);
+    for (const Neighbor& nb : knn.row(p)) sum += lrd[nb.index];
+    scores[p] = sum / (k * lrd[p]);
   }
   return scores;
 }

@@ -5,6 +5,12 @@
 
 namespace subex {
 
+/// Floor of LOF's mean reachability distance. Duplicate-heavy data can make
+/// the mean zero; the floor keeps lrd finite and preserves ordering. Shared
+/// by `Lof::Score` and the chunked `ScoreLofChunked`, which must match it
+/// bit for bit.
+inline constexpr double kLofEpsilon = 1e-10;
+
 /// Local Outlier Factor [Breunig et al., SIGMOD 2000].
 ///
 /// Density-based detector: compares each point's local reachability density

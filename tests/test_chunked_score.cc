@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "data/columnar.h"
 #include "data/csv.h"
 #include "data/generators.h"
+#include "detect/knn.h"
 #include "detect/knn_distance.h"
 #include "detect/loda.h"
 #include "detect/lof.h"
@@ -184,6 +188,66 @@ TEST_F(ChunkedScoreTest, TinyBudgetForcesEvictionMidScoringYetScoresMatch) {
       ScoreLodaChunked(*open.dataset, subspace, Loda::Options{});
   for (std::size_t p = 0; p < loda_in_ram.size(); ++p) {
     EXPECT_EQ(loda_streamed[p], loda_in_ram[p]);
+  }
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+// Rows holding NaN and +/-Inf, in the sweep's sort feature too: with one
+// NeighborLess order (a NaN distance after every number, then by index)
+// the in-RAM sweep and the streaming heap keep the same neighbours, bit
+// for bit, and so do LOF's scores.
+TEST_F(ChunkedScoreTest, NonFiniteRowsMatchInRamBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix m = dataset_.matrix();
+  for (std::size_t p : {0, 1, 2, 57, 58, 130, 411}) m(p, 0) = nan;
+  for (std::size_t p : {3, 99}) m(p, 1) = nan;
+  m(4, 0) = inf;
+  m(5, 0) = inf;
+  m(6, 0) = -inf;
+  m(200, 1) = inf;
+  m(201, 1) = -inf;
+  m(202, 2) = inf;
+  m(202, 3) = nan;
+  for (std::size_t f = 0; f < m.cols(); ++f) m(300, f) = nan;
+  dataset_ = Dataset(std::move(m));
+  path_ = TempPath("nonfinite.cols");
+  std::string error;
+  ASSERT_TRUE(WriteColumnarDataset(path_, dataset_, 64, &error)) << error;
+  EvictionManager manager(EvictionManager::Options{.budget_bytes = 16 << 20});
+  auto open = OpenChunked(&manager);
+  ASSERT_TRUE(open.ok) << open.error;
+
+  std::vector<int> all(dataset_.num_points());
+  for (std::size_t p = 0; p < all.size(); ++p) all[p] = static_cast<int>(p);
+  for (const Subspace& subspace :
+       {Subspace({0}), Subspace({0, 1}), Subspace({1, 2}),
+        Subspace({0, 2, 3}), Subspace({0, 1, 2, 3, 4})}) {
+    for (int k : {1, 6, 15}) {
+      SCOPED_TRACE(subspace.ToString() + " k=" + std::to_string(k));
+      const KnnTable in_ram = ComputeKnn(dataset_, subspace, k);
+      const std::vector<std::vector<Neighbor>> streamed =
+          ComputeKnnChunked(*open.dataset, subspace.AsSpan(), k, all);
+      ASSERT_EQ(streamed.size(), all.size());
+      for (int p : all) {
+        ASSERT_EQ(streamed[p].size(), in_ram.row(p).size());
+        for (std::size_t i = 0; i < streamed[p].size(); ++i) {
+          EXPECT_EQ(streamed[p][i].index, in_ram.row(p)[i].index);
+          EXPECT_EQ(Bits(streamed[p][i].distance),
+                    Bits(in_ram.row(p)[i].distance));
+        }
+      }
+      const std::vector<double> lof = Lof(k).Score(dataset_, subspace);
+      const std::vector<double> lof_streamed =
+          ScoreLofChunked(*open.dataset, subspace, k);
+      ASSERT_EQ(lof_streamed.size(), lof.size());
+      for (int p : all) EXPECT_EQ(Bits(lof_streamed[p]), Bits(lof[p])) << p;
+    }
   }
 }
 
