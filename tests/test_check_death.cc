@@ -50,6 +50,11 @@ TEST(CheckDeathTest, KnnNeedsTwoPoints) {
   EXPECT_DEATH(ComputeKnn(d, Subspace(), 1), "at least two points");
 }
 
+TEST(CheckDeathTest, KnnNeedsAFeature) {
+  const Dataset d(Matrix(3, 0));
+  EXPECT_DEATH(ComputeKnn(d, Subspace(), 1), "at least one feature");
+}
+
 TEST(CheckDeathTest, BeamRejectsBadTargetDim) {
   const SyntheticDataset d = GenerateFigure1Dataset(1, 50);
   const Lof lof(5);
