@@ -79,23 +79,69 @@ void BM_LofByDim(benchmark::State& state) {
   }
 }
 
-// The shared kNN kernel of LOF, Fast ABOD and kNN-distance alone, in the
-// `grid_batch` shape: a 300-point, 10-feature HiCS dataset, k = 15 (LOF's
-// default), one subspace of the first `state.range(0)` features.
-void BM_Knn(benchmark::State& state) {
+// The `grid_batch` data shape: a 10-feature HiCS dataset, 300 points there.
+Dataset MakeGridData(int n) {
   HicsGeneratorConfig config;
-  config.num_points = 300;
+  config.num_points = n;
   config.subspace_dims = {2, 2, 3, 3};
   config.seed = 1;
-  const Dataset data = GenerateHicsDataset(config).dataset;
+  return GenerateHicsDataset(config).dataset;
+}
+
+// The subspace of the first `dim` features.
+Subspace LeadingFeatures(int dim) {
   std::vector<FeatureId> features;
-  for (int f = 0; f < state.range(0); ++f) features.push_back(f);
-  const Subspace subspace(features);
+  for (int f = 0; f < dim; ++f) features.push_back(f);
+  return Subspace(features);
+}
+
+// The shared kNN kernel of LOF, Fast ABOD and kNN-distance alone, in the
+// `grid_batch` shape, k = 15 (LOF's default), one subspace of the first
+// `state.range(0)` features.
+void BM_Knn(benchmark::State& state) {
+  const Dataset data = MakeGridData(300);
+  const Subspace subspace = LeadingFeatures(static_cast<int>(state.range(0)));
   const ProfCounterSet prof = ProfCounterSet::ForKernel("kernel.kNN");
   for (auto _ : state) {
     CounterSpan prof_span(&prof);
     benchmark::DoNotOptimize(ComputeKnn(data, subspace, 15));
   }
+}
+
+// One iForest call as `grid_batch` makes it: the testbed's Quick detector
+// (50 trees, 2 repetitions, psi = 256) on a 2-d subspace of the
+// `grid_batch` data with `state.range(0)` points.
+void BM_IForestQuick(benchmark::State& state) {
+  const Dataset data = MakeGridData(static_cast<int>(state.range(0)));
+  const Subspace subspace = LeadingFeatures(2);
+  const std::unique_ptr<Detector> forest = MakeTestbedDetector(
+      DetectorKind::kIsolationForest, TestbedProfile::Quick());
+  const ProfCounterSet prof = ProfCounterSet::ForKernel("kernel.iForest");
+  for (auto _ : state) {
+    CounterSpan prof_span(&prof);
+    benchmark::DoNotOptimize(forest->Score(data, subspace));
+  }
+}
+
+// The Rng engine's speed: 4096 raw 64-bit draws (arg 0), `UniformInt`
+// draws (arg 1) or `Uniform` draws (arg 2) per iteration.
+void BM_RngDraws(benchmark::State& state) {
+  constexpr int kDraws = 4096;
+  const int kind = static_cast<int>(state.range(0));
+  state.SetLabel(kind == 0 ? "raw" : kind == 1 ? "UniformInt" : "Uniform");
+  Rng rng(42);
+  for (auto _ : state) {
+    for (int i = 0; i < kDraws; ++i) {
+      if (kind == 0) {
+        benchmark::DoNotOptimize(rng.engine()());
+      } else if (kind == 1) {
+        benchmark::DoNotOptimize(rng.UniformInt(0, 299));
+      } else {
+        benchmark::DoNotOptimize(rng.Uniform(-1.0, 2.0));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kDraws);
 }
 
 void BM_HicsContrast(benchmark::State& state) {
@@ -123,6 +169,8 @@ BENCHMARK(BM_IForestSingleRepetition)
 BENCHMARK(BM_LofByDim)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_Knn)->Arg(2)->Arg(3)->Arg(7)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IForestQuick)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RngDraws)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_HicsContrast)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // Console reporter that additionally captures every measured run into a

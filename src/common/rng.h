@@ -3,18 +3,55 @@
 
 #include <cstdint>
 #include <random>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
 
 namespace subex {
 
+/// MT19937-64 [Matsumoto & Nishimura 1998; Nishimura 2000] with a
+/// branch-free twist. Same recurrence, seeding and tempering as
+/// `std::mt19937_64`, so it emits that engine's exact stream for every seed
+/// and every `std::` distribution over it returns the same values; only the
+/// twist differs, selecting the matrix term with a mask instead of a branch
+/// on each word's low bit.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  /// Seeds the state as `std::mt19937_64(seed)` does.
+  explicit Mt19937_64(result_type seed);
+
+  result_type operator()() {
+    if (next_ == kStateSize) Twist();
+    result_type z = state_[next_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71d67fffeda60000ull;
+    z ^= (z << 37) & 0xfff7eee000000000ull;
+    return z ^ (z >> 43);
+  }
+
+ private:
+  static constexpr int kStateSize = 312;
+
+  // Regenerates all kStateSize words and rewinds `next_`.
+  void Twist();
+
+  result_type state_[kStateSize];
+  int next_ = kStateSize;
+};
+
 /// Seeded pseudo-random number generator facade.
 ///
 /// Every stochastic component in the library (isolation forest, RefOut's
 /// subspace pool, HiCS' Monte-Carlo slices, the dataset generators) takes an
 /// `Rng&` so that experiments are reproducible bit-for-bit from a single seed
-/// and so that tests can pin randomness. Wraps `std::mt19937_64`.
+/// and so that tests can pin randomness. Draws from `Mt19937_64`, whose
+/// stream is `std::mt19937_64`'s.
 class Rng {
  public:
   /// Creates a generator from an explicit seed (deterministic stream).
@@ -49,9 +86,13 @@ class Rng {
   /// or repetition its own deterministic stream.
   Rng Fork() { return Rng(engine_()); }
 
-  /// Samples `k` distinct values from `[0, n)` without replacement,
-  /// returned in ascending order. Requires `k <= n`. Makes exactly `k`
-  /// draws; costs O(n + k) time and O(n) scratch.
+  /// Samples `k` distinct values from `[0, n)` without replacement, where
+  /// n = `taken.size()`, and marks them: afterwards `taken[i]` is 1 exactly
+  /// for the sampled i. Requires `k <= n`. Makes exactly `k` draws (Floyd's
+  /// algorithm) and costs O(n + k) time with no allocation.
+  void SampleMask(int k, std::span<unsigned char> taken);
+
+  /// The values `SampleMask` marks, returned in ascending order.
   std::vector<int> SampleWithoutReplacement(int n, int k);
 
   /// In-place Fisher-Yates shuffle.
@@ -63,10 +104,10 @@ class Rng {
   }
 
   /// Access to the raw engine for `std::` distributions not wrapped above.
-  std::mt19937_64& engine() { return engine_; }
+  Mt19937_64& engine() { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace subex

@@ -20,11 +20,11 @@ namespace subex {
 /// seed and the queried subspace, so repeated calls (possibly from multiple
 /// threads) agree.
 ///
-/// Each `Score` call gathers the subspace's columns once, grows every tree
-/// into one reused flat node array by stable in-place partitioning of a
-/// single index buffer, and credits each subsampled point with its leaf's
-/// `depth + c(size)` as the leaf is built; only the points outside the
-/// subsample walk the finished tree. All scratch is local to the call.
+/// Each `Score` call gathers the subspace's columns once and grows every
+/// tree by stable in-place partitioning of the subsample's index buffer;
+/// each accepted split also partitions the rows outside the subsample, so
+/// every point is credited with its leaf's `depth + c(size)` as the leaf is
+/// built and no tree is stored or walked. All scratch is local to the call.
 class IsolationForest final : public Detector {
  public:
   struct Options {
