@@ -668,10 +668,12 @@ TEST_F(ExplainServerTest, ProfDumpRoundTripCapturesDetectorKernelFrames) {
 
   // Distinct subspaces miss the score cache, so every request runs
   // Lof::Score on a pool worker the profiler's sweep (or the thread
-  // hooks) attached. Keep scoring until enough wall time accumulated.
+  // hooks) attached. Keep scoring until a sample landed in Lof::Score: a
+  // fixed sample count can fill up with server and client frames alone.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (SamplingProfiler::Global().samples() < 25 &&
+  while (SamplingProfiler::Global().ToCollapsedText().find("Lof::Score") ==
+             std::string::npos &&
          std::chrono::steady_clock::now() < deadline) {
     for (const Subspace& subspace :
          EnumerateSubspaces(static_cast<int>(data_.dataset.num_features()),
