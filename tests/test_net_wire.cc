@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -661,6 +662,138 @@ TEST(ProtocolTest, DeadlineExceededResponseGoldenBytes) {
   EXPECT_EQ(header.type, MessageType::kDeadlineExceeded);
   EXPECT_EQ(header.request_id, 7u);
   EXPECT_TRUE(reader.AtEnd());
+}
+
+// --------------------------------------------------------------------------
+// Score vectors and ingest rows are the bulk of the traffic: pin their exact
+// bytes, including the IEEE-754 edge cases, so the codec can only change how
+// it writes them, never what it writes.
+
+/// The little-endian bytes of `bits`.
+std::vector<std::uint8_t> LeBytes(std::uint64_t bits) {
+  std::vector<std::uint8_t> out;
+  for (int shift = 0; shift < 64; shift += 8) {
+    out.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  return out;
+}
+
+TEST(ProtocolTest, ScoreResultGoldenBytesPinEdgeDoubles) {
+  constexpr std::uint64_t kNanWithPayload = 0x7ff80000c0ffee01ull;
+  ScoreResult result;
+  result.scores = {0.0,
+                   -0.0,
+                   std::numeric_limits<double>::denorm_min(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::max(),
+                   std::bit_cast<double>(kNanWithPayload)};
+  const std::vector<std::uint8_t> payload =
+      EncodeScoreResult(0x0102030405060708ull, result);
+  const std::vector<std::uint8_t> golden = {
+      0x01,                                            // version
+      0x40,                                            // kScoreResult
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // id (LE)
+      0x07, 0x00, 0x00, 0x00,                          // count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 0.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,  // -0.0
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // denorm_min
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x7f,  // +inf
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xff,  // -inf
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xef, 0x7f,  // DBL_MAX
+      0x01, 0xee, 0xff, 0xc0, 0x00, 0x00, 0xf8, 0x7f,  // quiet NaN, payload
+  };
+  EXPECT_EQ(payload, golden);
+
+  WireReader reader(payload);
+  MessageHeader header;
+  ASSERT_TRUE(DecodeHeader(reader, &header));
+  EXPECT_EQ(header.type, MessageType::kScoreResult);
+  ScoreResult back;
+  ASSERT_TRUE(DecodeScoreResult(reader, &back));
+  ASSERT_EQ(back.scores.size(), result.scores.size());
+  for (std::size_t i = 0; i < back.scores.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.scores[i]),
+              std::bit_cast<std::uint64_t>(result.scores[i]))
+        << "element " << i;
+  }
+}
+
+TEST(ProtocolTest, ScoreResultGoldenBytesEmptyAndSingleton) {
+  const std::vector<std::uint8_t> empty =
+      EncodeScoreResult(5, ScoreResult{});
+  const std::vector<std::uint8_t> empty_golden = {
+      0x01, 0x40, 5, 0, 0, 0, 0, 0, 0, 0,  // header
+      0x00, 0x00, 0x00, 0x00,              // count 0, no elements
+  };
+  EXPECT_EQ(empty, empty_golden);
+  WireReader empty_reader(empty);
+  MessageHeader header;
+  ASSERT_TRUE(DecodeHeader(empty_reader, &header));
+  ScoreResult back;
+  back.scores = {9.0};  // Decoding must replace, not append.
+  ASSERT_TRUE(DecodeScoreResult(empty_reader, &back));
+  EXPECT_TRUE(back.scores.empty());
+
+  ScoreResult one;
+  one.scores = {-1.5};  // 0xbff8000000000000
+  const std::vector<std::uint8_t> single = EncodeScoreResult(6, one);
+  std::vector<std::uint8_t> single_golden = {
+      0x01, 0x40, 6, 0, 0, 0, 0, 0, 0, 0,  // header
+      0x01, 0x00, 0x00, 0x00,              // count 1
+  };
+  const std::vector<std::uint8_t> bits = LeBytes(0xbff8000000000000ull);
+  single_golden.insert(single_golden.end(), bits.begin(), bits.end());
+  EXPECT_EQ(single, single_golden);
+  WireReader single_reader(single);
+  ASSERT_TRUE(DecodeHeader(single_reader, &header));
+  ASSERT_TRUE(DecodeScoreResult(single_reader, &back));
+  EXPECT_EQ(back.scores, one.scores);
+
+  // A count that promises more doubles than the payload holds fails
+  // cleanly instead of reading past the end.
+  std::vector<std::uint8_t> truncated = single;
+  truncated.pop_back();
+  WireReader truncated_reader(truncated);
+  ASSERT_TRUE(DecodeHeader(truncated_reader, &header));
+  EXPECT_FALSE(DecodeScoreResult(truncated_reader, &back));
+}
+
+TEST(ProtocolTest, IngestRequestGoldenBytes) {
+  IngestRequest request;
+  request.dataset = "s1";
+  request.num_rows = 2;
+  request.values = {1.0, -2.5, 0.1, 3.0};
+  const std::vector<std::uint8_t> payload = EncodeIngestRequest(
+      0x0102030405060708ull, request, /*trace_id=*/0xfeedfacecafebeefull,
+      /*deadline_ms=*/0x01020304);
+  const std::vector<std::uint8_t> golden = {
+      0x81,                                            // version | deadline
+      0x85,                                            // kIngest | trace
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // id (LE)
+      0xef, 0xbe, 0xfe, 0xca, 0xce, 0xfa, 0xed, 0xfe,  // trace id (LE)
+      0x04, 0x03, 0x02, 0x01,                          // deadline_ms (LE)
+      0x02, 0x00, 0x00, 0x00, 's', '1',                // dataset
+      0x02, 0x00, 0x00, 0x00,                          // num_rows
+      0x04, 0x00, 0x00, 0x00,                          // value count
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  // 1.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xc0,  // -2.5
+      0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xb9, 0x3f,  // 0.1
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40,  // 3.0
+  };
+  EXPECT_EQ(payload, golden);
+
+  WireReader reader(payload);
+  MessageHeader header;
+  ASSERT_TRUE(DecodeHeader(reader, &header));
+  EXPECT_EQ(header.type, MessageType::kIngest);
+  EXPECT_EQ(header.trace_id, 0xfeedfacecafebeefull);
+  EXPECT_EQ(header.deadline_ms, 0x01020304u);
+  IngestRequest back;
+  ASSERT_TRUE(DecodeIngestRequest(reader, &back));
+  EXPECT_EQ(back.dataset, "s1");
+  EXPECT_EQ(back.num_rows, 2u);
+  EXPECT_EQ(back.values, request.values);
 }
 
 TEST(ProtocolTest, ProfDumpResultRoundTrip) {
