@@ -5,35 +5,35 @@
 
 namespace subex {
 
-void WireWriter::PutU16(std::uint16_t v) {
-  bytes_.push_back(static_cast<std::uint8_t>(v));
-  bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
+// Words are copied in host order, which is the wire's order only on a
+// little-endian host; a big-endian port needs byte swaps here and in the
+// reader below.
+static_assert(std::endian::native == std::endian::little,
+              "the wire codec copies host words as little-endian bytes");
+
+void WireWriter::Append(const void* data, std::size_t n) {
+  if (n == 0) return;  // An empty vector's data() may be null.
+  const std::size_t at = bytes_.size();
+  bytes_.resize(at + n);
+  std::memcpy(bytes_.data() + at, data, n);
 }
 
-void WireWriter::PutU32(std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void WireWriter::PutU16(std::uint16_t v) { Append(&v, sizeof(v)); }
 
-void WireWriter::PutU64(std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
+void WireWriter::PutU32(std::uint32_t v) { Append(&v, sizeof(v)); }
 
-void WireWriter::PutDouble(double v) {
-  PutU64(std::bit_cast<std::uint64_t>(v));
-}
+void WireWriter::PutU64(std::uint64_t v) { Append(&v, sizeof(v)); }
+
+void WireWriter::PutDouble(double v) { Append(&v, sizeof(v)); }
 
 void WireWriter::PutString(const std::string& s) {
   PutU32(static_cast<std::uint32_t>(s.size()));
-  bytes_.insert(bytes_.end(), s.begin(), s.end());
+  Append(s.data(), s.size());
 }
 
 void WireWriter::PutDoubles(const std::vector<double>& v) {
   PutU32(static_cast<std::uint32_t>(v.size()));
-  for (const double d : v) PutDouble(d);
+  Append(v.data(), v.size() * sizeof(double));
 }
 
 bool WireReader::Take(std::size_t n, const std::uint8_t** out) {
@@ -51,31 +51,21 @@ std::uint8_t WireReader::GetU8() {
   return Take(1, &p) ? *p : 0;
 }
 
-std::uint16_t WireReader::GetU16() {
+template <typename T>
+T WireReader::GetWord() {
   const std::uint8_t* p = nullptr;
-  if (!Take(2, &p)) return 0;
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t WireReader::GetU32() {
-  const std::uint8_t* p = nullptr;
-  if (!Take(4, &p)) return 0;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+  T v{};
+  if (Take(sizeof(T), &p)) std::memcpy(&v, p, sizeof(T));
   return v;
 }
 
-std::uint64_t WireReader::GetU64() {
-  const std::uint8_t* p = nullptr;
-  if (!Take(8, &p)) return 0;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
+std::uint16_t WireReader::GetU16() { return GetWord<std::uint16_t>(); }
 
-double WireReader::GetDouble() {
-  return std::bit_cast<double>(GetU64());
-}
+std::uint32_t WireReader::GetU32() { return GetWord<std::uint32_t>(); }
+
+std::uint64_t WireReader::GetU64() { return GetWord<std::uint64_t>(); }
+
+double WireReader::GetDouble() { return GetWord<double>(); }
 
 std::string WireReader::GetString() {
   const std::uint32_t n = GetU32();
@@ -90,13 +80,13 @@ std::string WireReader::GetString() {
 
 std::vector<double> WireReader::GetDoubles() {
   const std::uint32_t n = GetU32();
-  if (static_cast<std::size_t>(n) * sizeof(double) > remaining()) {
-    ok_ = false;
-    return {};
-  }
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(GetDouble());
+  const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(double);
+  const std::uint8_t* p = nullptr;
+  // Take rejects a count the payload cannot hold before anything is
+  // allocated.
+  if (!Take(bytes, &p)) return {};
+  std::vector<double> v(n);
+  if (n != 0) std::memcpy(v.data(), p, bytes);
   return v;
 }
 

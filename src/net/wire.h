@@ -11,7 +11,9 @@ namespace subex {
 /// Append-only little-endian byte serializer, the encoding half of the
 /// wire protocol. Doubles are serialized as their IEEE-754 bit pattern, so
 /// a score vector survives the network bitwise-intact — the property the
-/// "served results equal in-process results" guarantee rests on.
+/// "served results equal in-process results" guarantee rests on. Words and
+/// double vectors are appended with one bulk copy each; the codec requires
+/// a little-endian host (checked at compile time in wire.cc).
 class WireWriter {
  public:
   void PutU8(std::uint8_t v) { bytes_.push_back(v); }
@@ -29,6 +31,9 @@ class WireWriter {
   std::vector<std::uint8_t> Take() { return std::move(bytes_); }
 
  private:
+  /// Appends `n` raw bytes with one resize and one copy.
+  void Append(const void* data, std::size_t n);
+
   std::vector<std::uint8_t> bytes_;
 };
 
@@ -61,6 +66,9 @@ class WireReader {
 
  private:
   bool Take(std::size_t n, const std::uint8_t** out);
+  /// One little-endian word (zero once the reader has failed).
+  template <typename T>
+  T GetWord();
 
   const std::uint8_t* data_;
   std::size_t size_;
