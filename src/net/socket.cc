@@ -187,17 +187,6 @@ bool SendAll(int fd, const std::uint8_t* data, std::size_t size,
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   std::size_t sent = 0;
   while (sent < size) {
-    pollfd pfd{fd, POLLOUT, 0};
-    const int ready = ::poll(&pfd, 1, RemainingMs(deadline));
-    if (ready == 0) {
-      if (error != nullptr) *error = "send timed out";
-      return false;
-    }
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      if (error != nullptr) *error = Errno("poll");
-      return false;
-    }
     std::size_t want = size - sent;
     FaultAction fault_action;
     if (SUBEX_FAULT(FaultPoint::kSocketWrite, &fault_action)) {
@@ -209,13 +198,28 @@ bool SendAll(int fd, const std::uint8_t* data, std::size_t size,
         return false;
       }
     }
-    const ssize_t n = ::send(fd, data + sent, want, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    // Try the send first: a request frame almost always fits the socket
+    // buffer, so the poll is only paid when the buffer is full.
+    const ssize_t n = ::send(fd, data + sent, want, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n >= 0) {
+      sent += static_cast<std::size_t>(n);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
       if (error != nullptr) *error = Errno("send");
       return false;
     }
-    sent += static_cast<std::size_t>(n);
+    pollfd pfd{fd, POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, RemainingMs(deadline));
+    if (ready == 0) {
+      if (error != nullptr) *error = "send timed out";
+      return false;
+    }
+    if (ready < 0 && errno != EINTR) {
+      if (error != nullptr) *error = Errno("poll");
+      return false;
+    }
   }
   return true;
 }

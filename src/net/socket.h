@@ -46,7 +46,8 @@ bool SetNonBlocking(int fd, bool non_blocking);
 /// Creates a non-blocking pipe (used as the event loop's wakeup channel).
 bool MakeWakePipe(Socket* read_end, Socket* write_end, std::string* error);
 
-/// Sends all `size` bytes within `timeout_ms` (poll + send loop; SIGPIPE
+/// Sends all `size` bytes within `timeout_ms`: each attempt is a
+/// non-blocking send, and only a full socket buffer waits in poll (SIGPIPE
 /// suppressed). Returns false on error or timeout.
 bool SendAll(int fd, const std::uint8_t* data, std::size_t size,
              int timeout_ms, std::string* error);
