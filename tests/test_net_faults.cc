@@ -1,7 +1,8 @@
 // Injected transport faults against a live client/server pair: EINTR and
-// short-read/write resilience, hard failures surfacing as clean client
-// statuses, wire deadlines expiring in queue and in compute, the retry
-// budget, and the circuit breaker's open/half-open cycle.
+// short-read/write resilience, hard failures on either side surfacing as
+// clean client statuses, pipelined responses under torn writes, wire
+// deadlines expiring in queue and in compute, the retry budget, and the
+// circuit breaker's open/half-open cycle.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +20,9 @@
 #include "fault/fault.h"
 #include "net/explain_client.h"
 #include "net/explain_server.h"
+#include "net/frame.h"
+#include "net/protocol.h"
+#include "net/socket.h"
 #include "serve/scoring_service.h"
 
 namespace subex {
@@ -160,6 +164,106 @@ TEST_F(NetFaultTest, HardReadFaultTearsConnectionAndReconnectRecovers) {
   const ClientStatsSnapshot stats = client.stats();
   EXPECT_EQ(stats.transport_errors, 1u);
   EXPECT_EQ(stats.reconnects, 1u);
+}
+
+// The server writes a response through from the pool thread that computed
+// it. The client's request send is the first kSocketWrite evaluation, so
+// `after = 1` makes that write-through the one that fails: the server must
+// tear the connection down, the client must see a transport error, and a
+// fresh connection must work.
+TEST_F(NetFaultTest, FailedServerWriteTearsConnectionAndReconnectRecovers) {
+  StartServer();
+  const std::vector<double> direct =
+      ScoreStandardized(lof_, data_.dataset, Subspace({0, 3}));
+  ExplainClient client = MakeClient();
+  ASSERT_TRUE(client.Score("LOF", Subspace({0, 3})).ok());  // Warm the cache.
+
+  {
+    FaultControl control;
+    FaultRule fail;
+    fail.after = 1;
+    fail.limit = 1;
+    control.Arm(FaultPoint::kSocketWrite, fail);
+    const ExplainClient::ScoreReply reply =
+        client.Score("LOF", Subspace({0, 3}));
+    EXPECT_EQ(reply.status, ClientStatus::kTransportError) << reply.error;
+    EXPECT_FALSE(client.connected());
+    const FaultStats faults = FaultRegistry::Global().stats();
+    const FaultPointStats& write =
+        faults.points[static_cast<std::size_t>(FaultPoint::kSocketWrite)];
+    EXPECT_EQ(write.evaluations, 2u);  // The client's send, then the server's.
+    EXPECT_EQ(write.injected, 1u);
+  }
+  EXPECT_TRUE(
+      WaitFor([&] { return server_->stats().connections_closed >= 1; }));
+
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port(), &error)) << error;
+  const ExplainClient::ScoreReply reply = client.Score("LOF", Subspace({0, 3}));
+  ASSERT_TRUE(reply.ok()) << reply.error;
+  EXPECT_EQ(reply.scores, direct);
+  EXPECT_EQ(client.stats().transport_errors, 1u);
+}
+
+// Pipelined requests on one raw connection, every send torn to one byte on
+// both sides: responses must come back whole, bitwise and in request order
+// (a one-thread pool computes them in order; a write-through must never
+// overtake a response still queued ahead of it).
+TEST_F(NetFaultTest, TornWritesKeepPipelinedResponsesWholeAndInOrder) {
+  StartServer({}, /*pool_threads=*/1);
+  const std::vector<Subspace> subspaces = {
+      Subspace({0, 1}), Subspace({2, 3}), Subspace({4, 5}), Subspace({1, 6}),
+      Subspace({0, 1}), Subspace({3}),    Subspace({2, 5, 6}), Subspace({4}),
+  };
+
+  FaultControl control;
+  FaultRule torn;
+  torn.action = FaultAction::kShort;  // Every write, both sides, unlimited.
+  control.Arm(FaultPoint::kSocketWrite, torn);
+
+  std::string error;
+  Socket socket = ConnectTcp("127.0.0.1", server_->port(), 5000, &error);
+  ASSERT_TRUE(socket.valid()) << error;
+  std::vector<std::uint8_t> stream;
+  for (std::size_t i = 0; i < subspaces.size(); ++i) {
+    ScoreRequest request;
+    request.detector = "LOF";
+    request.subspace = subspaces[i];
+    const std::vector<std::uint8_t> frame =
+        EncodeFrame(EncodeScoreRequest(100 + i, request));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(SendAll(socket.fd(), stream.data(), stream.size(), 5000, &error))
+      << error;
+
+  FrameDecoder decoder;
+  std::vector<std::uint8_t> payload;
+  std::uint8_t buf[4096];
+  for (std::size_t i = 0; i < subspaces.size(); ++i) {
+    while (!decoder.Next(&payload)) {
+      std::size_t received = 0;
+      ASSERT_TRUE(RecvSome(socket.fd(), buf, sizeof(buf), 5000, &received,
+                           &error))
+          << error;
+      ASSERT_GT(received, 0u) << "server closed after " << i << " responses";
+      decoder.Feed(buf, received);
+    }
+    WireReader reader(payload);
+    MessageHeader header;
+    ASSERT_TRUE(DecodeHeader(reader, &header));
+    ASSERT_EQ(header.type, MessageType::kScoreResult);
+    EXPECT_EQ(header.request_id, 100 + i) << "response out of order";
+    ScoreResult result;
+    ASSERT_TRUE(DecodeScoreResult(reader, &result));
+    EXPECT_EQ(result.scores,
+              ScoreStandardized(lof_, data_.dataset, subspaces[i]))
+        << "response " << i;
+  }
+  EXPECT_EQ(decoder.buffered_bytes(), 0u);
+  // The sender counts a response after its last byte left, so the count
+  // may trail the client by a moment.
+  EXPECT_TRUE(WaitFor(
+      [&] { return server_->stats().responses_sent == subspaces.size(); }));
 }
 
 TEST_F(NetFaultTest, ConnectFaultSurfacesAndRetrySucceeds) {
