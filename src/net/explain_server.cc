@@ -586,7 +586,6 @@ bool ExplainServer::HandleWritable(const std::shared_ptr<Connection>& conn) {
 }
 
 bool ExplainServer::FlushLocked(Connection& conn) {
-  TraceSpan flush(conn.write_queue.empty() ? nullptr : write_histogram_);
   while (!conn.write_queue.empty()) {
     const Connection::WriteEntry& entry = conn.write_queue.front();
     const std::vector<std::uint8_t>& front = entry.frame;
@@ -612,8 +611,11 @@ bool ExplainServer::FlushLocked(Connection& conn) {
     bytes_sent_->Increment(static_cast<std::uint64_t>(n));
     conn.write_offset += static_cast<std::size_t>(n);
     if (conn.write_offset == front.size()) {
-      // The response's "net.write" span: enqueued by the handler to fully
-      // handed to the kernel here, tagged with the request's trace.
+      // The response's "net.write" interval: enqueued by the handler to
+      // fully handed to the kernel here. The histogram takes one sample per
+      // response; the span carries the same interval, tagged with the
+      // request's trace.
+      write_histogram_->Record(now_ns - entry.enqueued_ns);
       SpanCollector& collector = SpanCollector::Global();
       if (collector.enabled() && entry.enqueued_ns != 0) {
         SpanRecord record;

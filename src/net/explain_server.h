@@ -261,7 +261,7 @@ class ExplainServer {
   // on the request path; the kStats endpoint serves the whole registry).
   Histogram* request_histogram_;     ///< serve.request (admit -> enqueued).
   Histogram* queue_wait_histogram_;  ///< serve.queue_wait (admit -> start).
-  Histogram* write_histogram_;       ///< net.write (one flush pass).
+  Histogram* write_histogram_;       ///< net.write (enqueue to sent).
   /// serve.request.<name>, one per `kRequestTypes` row, in table order.
   std::vector<Histogram*> request_type_histograms_;
   Histogram* explain_search_histogram_;   ///< explain.search (handler side).

@@ -1,10 +1,13 @@
 // Injected transport faults against a live client/server pair: EINTR and
 // short-read/write resilience, hard failures on either side surfacing as
 // clean client statuses, pipelined responses under torn writes, wire
-// deadlines expiring in queue and in compute, the retry budget, and the
-// circuit breaker's open/half-open cycle.
+// deadlines expiring in queue and in compute, the retry budget, the
+// circuit breaker's open/half-open cycle, and one `net.write` sample per
+// sent response under torn and stalled writes.
 
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/generators.h"
 #include "detect/lof.h"
 #include "explain/beam.h"
@@ -23,6 +27,7 @@
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/socket.h"
+#include "obs/registry.h"
 #include "serve/scoring_service.h"
 
 namespace subex {
@@ -264,6 +269,121 @@ TEST_F(NetFaultTest, TornWritesKeepPipelinedResponsesWholeAndInOrder) {
   // may trail the client by a moment.
   EXPECT_TRUE(WaitFor(
       [&] { return server_->stats().responses_sent == subspaces.size(); }));
+}
+
+/// Scores each point with its row index: any dataset size, no compute.
+class IndexDetector : public Detector {
+ public:
+  std::string name() const override { return "Index"; }
+  std::vector<double> Score(const Dataset& data,
+                            const Subspace&) const override {
+    std::vector<double> scores(data.num_points());
+    for (std::size_t p = 0; p < scores.size(); ++p) {
+      scores[p] = static_cast<double>(p);
+    }
+    return scores;
+  }
+};
+
+// Starts a one-thread server whose only detector is `IndexDetector` over
+// `points` points, then sends it two pipelined score requests.
+class NetWriteTest : public ::testing::Test {
+ protected:
+  void StartAndRequest(std::size_t points) {
+    Matrix m(points, 1);
+    for (std::size_t p = 0; p < points; ++p) m(p, 0) = static_cast<double>(p);
+    data_ = Dataset(std::move(m));
+    pool_ = std::make_unique<ThreadPool>(1);
+    service_ = std::make_unique<ScoringService>(
+        detector_, data_, ScoringServiceOptions{}, pool_.get());
+    server_ = std::make_unique<ExplainServer>(ExplainServerOptions{},
+                                              pool_.get());
+    server_->RegisterService(*service_);
+    std::string error;
+    ASSERT_TRUE(server_->Start(&error)) << error;
+    socket_ = ConnectTcp("127.0.0.1", server_->port(), 5000, &error);
+    ASSERT_TRUE(socket_.valid()) << error;
+    std::vector<std::uint8_t> stream;
+    for (std::uint64_t id : {200, 201}) {
+      ScoreRequest request;
+      request.detector = "Index";
+      request.subspace = Subspace({0});
+      const std::vector<std::uint8_t> frame =
+          EncodeFrame(EncodeScoreRequest(id, request));
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    ASSERT_TRUE(
+        SendAll(socket_.fd(), stream.data(), stream.size(), 5000, &error))
+        << error;
+  }
+
+  // Reads both responses, in order, whole.
+  void ReadResponses(std::size_t points) {
+    FrameDecoder decoder;
+    std::vector<std::uint8_t> payload;
+    std::vector<std::uint8_t> buf(1 << 16);
+    std::string error;
+    for (std::uint64_t id : {200, 201}) {
+      while (!decoder.Next(&payload)) {
+        std::size_t received = 0;
+        ASSERT_TRUE(RecvSome(socket_.fd(), buf.data(), buf.size(), 10000,
+                             &received, &error))
+            << error;
+        ASSERT_GT(received, 0u);
+        decoder.Feed(buf.data(), received);
+      }
+      WireReader reader(payload);
+      MessageHeader header;
+      ASSERT_TRUE(DecodeHeader(reader, &header));
+      EXPECT_EQ(header.request_id, id);
+      ScoreResult result;
+      ASSERT_TRUE(DecodeScoreResult(reader, &result));
+      EXPECT_EQ(result.scores.size(), points);
+    }
+    ASSERT_TRUE(WaitFor([&] { return server_->stats().responses_sent == 2; }));
+  }
+
+  Histogram& write_ = MetricsRegistry::Global().GetHistogram("net.write");
+  const HistogramSnapshot before_ = write_.snapshot();
+  IndexDetector detector_;
+  Dataset data_;
+  std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<ScoringService> service_;
+  std::unique_ptr<ExplainServer> server_;
+  Socket socket_;
+};
+
+// Every send torn to one byte: thousands of sends per response, one
+// `net.write` sample each.
+TEST_F(NetWriteTest, TornSendsSampleOncePerSentResponse) {
+  FaultControl control;
+  FaultRule torn;
+  torn.action = FaultAction::kShort;  // Every write, both sides, unlimited.
+  control.Arm(FaultPoint::kSocketWrite, torn);
+  constexpr std::size_t kPoints = 4000;  // 32 KB per response.
+  StartAndRequest(kPoints);
+  ReadResponses(kPoints);
+  EXPECT_EQ(write_.snapshot().count - before_.count, 2u);
+  const FaultStats faults = FaultRegistry::Global().stats();
+  const std::size_t write_point =
+      static_cast<std::size_t>(FaultPoint::kSocketWrite);
+  EXPECT_GT(faults.points[write_point].injected, 2 * kPoints * 8);
+}
+
+// Two 4 MB responses to a client that reads nothing for 100 ms once the
+// first bytes arrive: the socket fills, the rest waits in the write queue
+// and the loop sends it over several flush passes. Still one sample per
+// response, and it spans the wait, as the `net.write` span does.
+TEST_F(NetWriteTest, QueuedResponseSampleSpansItsWait) {
+  constexpr std::size_t kPoints = 500000;
+  StartAndRequest(kPoints);
+  pollfd readable{socket_.fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&readable, 1, 10000), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ReadResponses(kPoints);
+  const HistogramSnapshot after = write_.snapshot();
+  EXPECT_EQ(after.count - before_.count, 2u);
+  EXPECT_GE(after.sum - before_.sum, 100'000'000u);
 }
 
 TEST_F(NetFaultTest, ConnectFaultSurfacesAndRetrySucceeds) {
