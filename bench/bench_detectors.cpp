@@ -108,6 +108,31 @@ void BM_Knn(benchmark::State& state) {
   }
 }
 
+// LOF, then Fast ABOD, each a fresh score of the same 7-d subspace through
+// its own `ScoringService` over one `state.range(0)`-point HiCS dataset
+// (the RefOut projection width of `grid_batch`). Arg 1 = 1: the services
+// share an `EvictionManager`, so Fast ABOD takes LOF's neighbour lists
+// (one sweep per iteration); 0: no manager, no share (two sweeps).
+void BM_LofThenFastAbodShared(benchmark::State& state) {
+  const Dataset data = MakeGridData(static_cast<int>(state.range(0)));
+  const Subspace subspace = LeadingFeatures(7);
+  const bool share = state.range(1) != 0;
+  EvictionManager manager;
+  ScoringServiceOptions options;
+  if (share) options.cache.manager = &manager;
+  const Lof lof(15);
+  const FastAbod fast_abod(10);
+  ScoringService lof_service(lof, data, options);
+  ScoringService abod_service(fast_abod, data, options);
+  state.SetLabel(share ? "scope" : "no scope");
+  for (auto _ : state) {
+    lof_service.cache()->Clear();
+    abod_service.cache()->Clear();
+    benchmark::DoNotOptimize(lof_service.Score(subspace));
+    benchmark::DoNotOptimize(abod_service.Score(subspace));
+  }
+}
+
 // One iForest call as `grid_batch` makes it: the testbed's Quick detector
 // (50 trees, 2 repetitions, psi = 256) on a 2-d subspace of the
 // `grid_batch` data with `state.range(0)` points.
@@ -170,6 +195,10 @@ BENCHMARK(BM_LofByDim)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Unit(
     benchmark::kMillisecond);
 BENCHMARK(BM_Knn)->Arg(2)->Arg(3)->Arg(7)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IForestQuick)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_LofThenFastAbodShared)
+    ->Args({250, 0})
+    ->Args({250, 1})
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RngDraws)->Arg(0)->Arg(1)->Arg(2);
 BENCHMARK(BM_HicsContrast)->Arg(1000)->Unit(benchmark::kMillisecond);
 

@@ -6,6 +6,8 @@
 
 #include "common/check.h"
 #include "common/matrix.h"
+#include "detect/knn_share.h"
+#include "obs/metrics.h"
 
 namespace subex {
 namespace {
@@ -74,6 +76,12 @@ void Sweep(std::span<const Neighbor> axis, const double* packed,
 }  // namespace
 
 KnnTable ComputeKnn(const Dataset& data, const Subspace& subspace, int k) {
+  KnnTable table;
+  if (TakeSharedKnn(data, subspace, k, &table)) return table;
+  return SweepKnn(data, subspace, k);
+}
+
+KnnTable SweepKnn(const Dataset& data, const Subspace& subspace, int k) {
   const int n = static_cast<int>(data.num_points());
   SUBEX_CHECK_MSG(n >= 2, "kNN needs at least two points");
   SUBEX_CHECK(k >= 1);
@@ -115,6 +123,7 @@ KnnTable ComputeKnn(const Dataset& data, const Subspace& subspace, int k) {
   table.entries.resize(static_cast<std::size_t>(n) * k);
   auto* sweep = dim == 2 ? &Sweep<2> : dim == 3 ? &Sweep<3> : &Sweep<0>;
   sweep(axis, packed.data(), dim, k, table.entries.data());
+  KnnSweepCounter().Increment();
   return table;
 }
 

@@ -50,13 +50,20 @@ struct KnnTable {
 
 /// Exact kNN of every point, restricted to `subspace` (empty = full space).
 /// `k` is clamped to n-1. This is the shared substrate of LOF, Fast ABOD
-/// and kNN-distance. Explainers query thousands of *different*
-/// low-dimensional subspaces, so no index amortizes; instead each call
-/// sorts the points along the subspace's first feature and sweeps outward
-/// from every point, stopping a direction once the axis gap alone exceeds
-/// the current k-th distance. O(n log n + n * visited * |subspace|) time,
-/// O(n * k) output and O(n * |subspace|) per-thread scratch.
+/// and kNN-distance. When the calling thread has a `KnnShareBinding` for
+/// `data` installed (knn_share.h), the table may come from the sweep
+/// another detector already ran on the same subspace; it is bitwise the
+/// table `SweepKnn` returns either way.
 KnnTable ComputeKnn(const Dataset& data, const Subspace& subspace, int k);
+
+/// The neighbour search itself, never shared. Explainers query thousands
+/// of *different* low-dimensional subspaces, so no index amortizes;
+/// instead each call sorts the points along the subspace's first feature
+/// and sweeps outward from every point, stopping a direction once the axis
+/// gap alone exceeds the current k-th distance. O(n log n + n * visited *
+/// |subspace|) time, O(n * k) output and O(n * |subspace|) per-thread
+/// scratch. Counted by the registry counter `detect.knn.sweeps`.
+KnnTable SweepKnn(const Dataset& data, const Subspace& subspace, int k);
 
 }  // namespace subex
 

@@ -153,6 +153,24 @@ bool EvictionManager::Reserve(CacheId id, std::size_t bytes,
   return false;
 }
 
+bool EvictionManager::TryReserve(CacheId id, std::size_t bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  SUBEX_CHECK(id >= 1 && id <= caches_.size());
+  CacheEntry& entry = *caches_[id - 1];
+  SUBEX_CHECK(entry.alive);
+  ++reserve_calls_;
+  const bool over_quota = entry.quota_bytes > 0 &&
+                          entry.resident_bytes + bytes > entry.quota_bytes;
+  if (used_ + bytes > budget_ || over_quota) {
+    ++reserve_failures_;
+    return false;
+  }
+  entry.resident_bytes += bytes;
+  used_ += bytes;
+  used_gauge_->Set(static_cast<std::int64_t>(used_));
+  return true;
+}
+
 bool EvictionManager::PressurePass(CacheId id) {
   std::lock_guard<std::mutex> pressure(pressure_mutex_);
   for (int round = 0; round < kMaxPressureRounds; ++round) {

@@ -134,6 +134,13 @@ class EvictionManager {
   /// `allow_overcommit` is false.
   bool Reserve(CacheId id, std::size_t bytes, bool allow_overcommit = false);
 
+  /// Charges `bytes` to `id` only if the cache's quota and the global
+  /// budget both have room for them now. Never runs a pressure pass, so it
+  /// never evicts anything: for entries worth less than any other cache's,
+  /// which must not displace them. Returns false, charging nothing,
+  /// otherwise.
+  bool TryReserve(CacheId id, std::size_t bytes);
+
   /// Un-charges `bytes` dropped by the cache itself (overwrite, clear).
   void Release(CacheId id, std::size_t bytes);
 

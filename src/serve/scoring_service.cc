@@ -47,7 +47,9 @@ ScoringService::ScoringService(const Detector& detector, const Dataset& data,
       score_histogram_(&MetricsRegistry::Global().GetHistogram("detect.score")),
       detector_histogram_(&MetricsRegistry::Global().GetHistogram(
           "detect.score." + detector_name_)),
-      prof_counters_(ProfCounterSet::ForKernel("detect." + detector_name_)) {}
+      prof_counters_(ProfCounterSet::ForKernel("detect." + detector_name_)) {
+  JoinKnnShare();
+}
 
 ScoringService::ScoringService(const Detector& detector, const Dataset& data,
                                std::shared_ptr<ScoreCache> cache,
@@ -61,7 +63,17 @@ ScoringService::ScoringService(const Detector& detector, const Dataset& data,
       score_histogram_(&MetricsRegistry::Global().GetHistogram("detect.score")),
       detector_histogram_(&MetricsRegistry::Global().GetHistogram(
           "detect.score." + detector_name_)),
-      prof_counters_(ProfCounterSet::ForKernel("detect." + detector_name_)) {}
+      prof_counters_(ProfCounterSet::ForKernel("detect." + detector_name_)) {
+  JoinKnnShare();
+}
+
+void ScoringService::JoinKnnShare() {
+  KnnSweepCounter();
+  KnnSharedCounter();
+  if (cache_ == nullptr || cache_->options().manager == nullptr) return;
+  knn_share_ = std::make_unique<KnnShareMember>(
+      data_, *cache_->options().manager, cache_->options().max_bytes);
+}
 
 ScoreVectorPtr ScoringService::Score(const Subspace& subspace) {
   ScoreKey key{detector_name_, subspace};
@@ -118,8 +130,10 @@ ScoreVectorPtr ScoringService::ComputeAndPublish(
     // counter span — together the per-kernel evidence the SIMD roadmap
     // item is judged against.
     CounterSpan prof_span(&prof_counters_);
+    KnnShareBinding knn_share(knn_share_.get());
     value = std::make_shared<const std::vector<double>>(
         ScoreStandardized(detector_, data_, key.subspace));
+    knn_share.Completed();
   } catch (...) {
     // Unblock joiners with the same failure, then surface it here.
     {

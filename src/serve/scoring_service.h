@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "detect/detector.h"
+#include "detect/knn_share.h"
 #include "obs/metrics.h"
 #include "prof/perf_counters.h"
 #include "serve/score_cache.h"
@@ -33,14 +34,17 @@ struct ScoringServiceOptions {
 /// and serves the **standardized** score vector of any subspace, the exact
 /// bytes `ScoreStandardized(detector, data, subspace)` would produce.
 ///
-/// Three mechanisms make repeated/overlapping scoring cheap:
+/// Four mechanisms make repeated/overlapping scoring cheap:
 ///  * a sharded LRU `ScoreCache` keyed by `(detector name, subspace)`
 ///    remembers recently served vectors within an entry/byte budget;
 ///  * **single-flight deduplication**: concurrent requests for the same
 ///    uncached subspace block on one in-flight computation (a
 ///    `shared_future` per key) instead of recomputing it N times;
 ///  * `ScoreMany` fans the *unique uncached* keys of a batch out over a
-///    `ThreadPool` with dynamic balancing.
+///    `ThreadPool` with dynamic balancing;
+///  * services whose caches share an `EvictionManager` share the kNN
+///    lists of their dataset (`KnnShareMember`), so LOF and Fast ABOD run
+///    each subspace's neighbour search once.
 ///
 /// All methods are safe to call concurrently. Determinism: detectors are
 /// pure (stochastic ones seed from the subspace identity), so a cached
@@ -84,10 +88,16 @@ class ScoringService {
   ThreadPool* pool() const { return pool_; }
   /// The underlying cache (null when constructed cache-less).
   const std::shared_ptr<ScoreCache>& cache() const { return cache_; }
+  /// This service's share of its dataset's kNN lists (knn_share.h); null
+  /// when its cache has no `EvictionManager` to charge them to.
+  const KnnShareMember* knn_share() const { return knn_share_.get(); }
 
  private:
   ScoreVectorPtr ComputeAndPublish(const ScoreKey& key,
                                    std::promise<ScoreVectorPtr>& promise);
+  /// Joins the kNN-share scope of (data, cache manager), if there is a
+  /// manager; registers the kNN counters either way.
+  void JoinKnnShare();
 
   const Detector& detector_;
   const Dataset& data_;
@@ -103,6 +113,9 @@ class ScoringService {
   /// (`prof.*.detect.<name>`), fed by a `CounterSpan` around each fresh
   /// computation; zeros when perf counters are unavailable.
   ProfCounterSet prof_counters_;
+  /// Installed around each fresh computation, so LOF, Fast ABOD and
+  /// kNN-distance services over one dataset run each neighbour search once.
+  std::unique_ptr<KnnShareMember> knn_share_;
 
   std::mutex inflight_mutex_;
   std::unordered_map<ScoreKey, std::shared_future<ScoreVectorPtr>,

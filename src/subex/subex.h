@@ -40,6 +40,7 @@
 #include "detect/isolation_forest.h"
 #include "detect/knn.h"
 #include "detect/knn_distance.h"
+#include "detect/knn_share.h"
 #include "detect/loda.h"
 #include "detect/lof.h"
 #include "explain/beam.h"

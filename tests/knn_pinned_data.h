@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "data/generators.h"
@@ -68,6 +69,24 @@ inline Dataset DuplicateHeavy() {
   for (int p = 50; p < 200; ++p) {
     for (int f = 0; f < 4; ++f) m(p, f) = m(p % 50, f);
   }
+  return Dataset(std::move(m));
+}
+
+// `Hics(300)` with NaN and +/-Inf cells, in the sweep's sort feature (0)
+// too, so some distances are NaN or infinite.
+inline Dataset NonFinite() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix m = Hics(300).matrix();
+  for (std::size_t p : {0, 1, 2, 57, 58, 130}) m(p, 0) = nan;
+  for (std::size_t p : {3, 99}) m(p, 1) = nan;
+  m(4, 0) = inf;
+  m(5, 0) = inf;
+  m(6, 0) = -inf;
+  m(200, 1) = inf;
+  m(201, 1) = -inf;
+  m(202, 2) = inf;
+  m(202, 3) = nan;
   return Dataset(std::move(m));
 }
 
