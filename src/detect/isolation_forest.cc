@@ -2,20 +2,27 @@
 
 #include <algorithm>
 #include <cmath>
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 #include <numeric>
 #include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "detect/simd.h"
 
 namespace subex {
 namespace {
 
 // Per-call scratch for growing isolation trees one at a time: the
 // subspace's columns gathered column-major, the subsample's membership mask,
-// and one index buffer holding the subsample in [0, psi) and the rows
-// outside it in [psi, n), both partitioned in place down the tree. Holds no
-// state shared between calls, so concurrent Score calls stay independent.
+// one index buffer holding the subsample in [0, psi) and the rows outside
+// it in [psi, n), both partitioned in place down the tree, and the sample
+// values of the node's current column. Holds no state shared between
+// calls, so concurrent Score calls stay independent. `Ops` is
+// `ScalarIForestOps` or `Avx512IForestOps` (simd.h).
+template <class Ops>
 class TreeKernel {
  public:
   TreeKernel(const Dataset& data, std::span<const FeatureId> features,
@@ -28,6 +35,7 @@ class TreeKernel {
         taken_(n_),
         index_(n_),
         scratch_(n_),
+        values_(psi),
         leaf_c_(psi + 1) {
     for (int p = 0; p < n_; ++p) {
       for (std::size_t j = 0; j < num_columns_; ++j) {
@@ -60,65 +68,37 @@ class TreeKernel {
   // other rows' index_[rest_begin, rest_end) down the same splits.
   void Build(int begin, int end, int rest_begin, int rest_end, int height,
              Rng& rng, double* path_sum) {
+    int* sample = index_.data() + begin;
+    int* rest = index_.data() + rest_begin;
     if (height < height_limit_ && end - begin > 1) {
       // Pick a column whose sample range is finite and not constant; give
       // up after a few tries (all-constant region -> leaf). A NaN or
-      // infinite range cannot bound a uniform split.
+      // infinite range cannot bound a uniform split. The range is seeded
+      // from the first sample row, and the stable partitions keep which
+      // row is first.
       for (int attempt = 0; attempt < 8; ++attempt) {
         const std::size_t j = rng.UniformIndex(num_columns_);
         const double* column = columns_.data() + j * n_;
-        const auto [lo, hi] = SampleRange(column, begin, end);
+        const auto [lo, hi] =
+            Ops::ScanRange(column, sample, end - begin, values_.data());
         const double width = hi - lo;
         if (!(width >= 1e-12) || std::isinf(width)) continue;
         const double split = rng.Uniform(lo, hi);
-        const int mid = Partition(begin, end, column, split);
+        const int mid = begin + Ops::Partition(sample, end - begin,
+                                               values_.data(), split,
+                                               scratch_.data());
         if (mid == begin || mid == end) continue;
-        const int rest_mid = Partition(rest_begin, rest_end, column, split);
+        const int rest_mid =
+            rest_begin + Ops::PartitionGather(rest, rest_end - rest_begin,
+                                              column, split, scratch_.data());
         Build(begin, mid, rest_begin, rest_mid, height + 1, rng, path_sum);
         Build(mid, end, rest_mid, rest_end, height + 1, rng, path_sum);
         return;
       }
     }
     const double path = static_cast<double>(height) + leaf_c_[end - begin];
-    for (int i = begin; i < end; ++i) path_sum[index_[i]] += path;
-    for (int i = rest_begin; i < rest_end; ++i) path_sum[index_[i]] += path;
-  }
-
-  // {min, max} of `column` over index_[begin, end), begin < end, in two
-  // accumulator pairs seeded from the first row (an odd count starts past
-  // it). std::min/max keep their first argument when either is NaN, so only
-  // a NaN first row makes the range NaN; the stable partition keeps which
-  // row is first.
-  std::pair<double, double> SampleRange(const double* column, int begin,
-                                        int end) const {
-    const double first = column[index_[begin]];
-    double lo = first, hi = first, lo2 = first, hi2 = first;
-    for (int i = begin + (end - begin) % 2; i < end; i += 2) {
-      lo = std::min(lo, column[index_[i]]);
-      hi = std::max(hi, column[index_[i]]);
-      lo2 = std::min(lo2, column[index_[i + 1]]);
-      hi2 = std::max(hi2, column[index_[i + 1]]);
-    }
-    return {std::min(lo, lo2), std::max(hi, hi2)};
-  }
-
-  // Stable partition of index_[begin, end): rows below `split` first, then
-  // the rest, each side in its prior order. Returns the boundary.
-  int Partition(int begin, int end, const double* column, double split) {
-    int mid = begin;
-    int num_right = 0;
-    for (int i = begin; i < end; ++i) {
-      // Branch-free: write both slots, advance one (mid <= i, so the
-      // in-place write never clobbers an unread row).
-      const int p = index_[i];
-      const bool below = column[p] < split;
-      index_[mid] = p;
-      scratch_[num_right] = p;
-      mid += below;
-      num_right += !below;
-    }
-    std::copy_n(scratch_.begin(), num_right, index_.begin() + mid);
-    return mid;
+    Ops::Credit(sample, end - begin, path, path_sum);
+    Ops::Credit(rest, rest_end - rest_begin, path, path_sum);
   }
 
   int n_;
@@ -129,8 +109,88 @@ class TreeKernel {
   std::vector<unsigned char> taken_;  // The current tree's subsample mask.
   std::vector<int> index_;
   std::vector<int> scratch_;
+  std::vector<double> values_;  // The node's sample values, in index order.
   std::vector<double> leaf_c_;  // c(size) for size in [0, psi].
 };
+
+template <class Ops>
+std::vector<double> ScoreForest(const IsolationForest::Options& options,
+                                const Dataset& data,
+                                const Subspace& subspace) {
+  const int n = static_cast<int>(data.num_points());
+  SUBEX_CHECK(n >= 2);
+
+  std::vector<FeatureId> full;
+  std::span<const FeatureId> features = subspace.AsSpan();
+  if (subspace.empty()) {
+    full.resize(data.num_features());
+    std::iota(full.begin(), full.end(), 0);
+    features = full;
+  }
+
+  const int psi = std::min(options.subsample_size, n);
+  const int height_limit =
+      static_cast<int>(std::ceil(std::log2(static_cast<double>(psi))));
+  const double c_psi = IsolationForest::AveragePathLength(psi);
+  TreeKernel<Ops> kernel(data, features, psi, height_limit);
+
+  // Deterministic per-(seed, subspace) randomness so Score is pure.
+  const std::uint64_t subspace_salt = SubspaceHash()(subspace);
+  std::vector<double> mean_scores(n, 0.0);
+  std::vector<double> path_sum(n);
+
+  for (int rep = 0; rep < options.num_repetitions; ++rep) {
+    Rng rng(options.seed ^ subspace_salt ^
+            (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(rep + 1)));
+    std::fill(path_sum.begin(), path_sum.end(), 0.0);
+    for (int t = 0; t < options.num_trees; ++t) {
+      kernel.AddPathLengths(rng, path_sum.data());
+    }
+    for (int p = 0; p < n; ++p) {
+      const double mean_path = path_sum[p] / options.num_trees;
+      mean_scores[p] += std::pow(2.0, -mean_path / c_psi);
+    }
+  }
+  for (double& s : mean_scores) s /= options.num_repetitions;
+  return mean_scores;
+}
+
+// {min, max} of values[0, count), count >= 1, in two accumulator pairs
+// seeded from values[0] (an odd count starts past it). std::min/max keep
+// their first argument when either is NaN, so only a NaN first value makes
+// the range NaN.
+std::pair<double, double> RangeOfValues(const double* values, int count) {
+  const double first = values[0];
+  double lo = first, hi = first, lo2 = first, hi2 = first;
+  for (int i = count % 2; i < count; i += 2) {
+    lo = std::min(lo, values[i]);
+    hi = std::max(hi, values[i]);
+    lo2 = std::min(lo2, values[i + 1]);
+    hi2 = std::max(hi2, values[i + 1]);
+  }
+  return {std::min(lo, lo2), std::max(hi, hi2)};
+}
+
+// Stable partition of rows[0, count) by `value(i) < split`; see
+// `ScalarIForestOps::Partition`.
+template <class Value>
+int StablePartition(int* rows, int count, Value value, double split,
+                    int* scratch) {
+  int mid = 0;
+  int num_right = 0;
+  for (int i = 0; i < count; ++i) {
+    // Branch-free: write both slots, advance one (mid <= i, so the
+    // in-place write never clobbers an unread row).
+    const int p = rows[i];
+    const bool below = value(i, p) < split;
+    rows[mid] = p;
+    scratch[num_right] = p;
+    mid += below;
+    num_right += !below;
+  }
+  std::copy_n(scratch, num_right, rows + mid);
+  return mid;
+}
 
 }  // namespace
 
@@ -147,44 +207,172 @@ double IsolationForest::AveragePathLength(int n) {
   return 2.0 * h - 2.0 * static_cast<double>(n - 1) / static_cast<double>(n);
 }
 
+std::pair<double, double> ScalarIForestOps::ScanRange(const double* column,
+                                                     const int* rows,
+                                                     int count,
+                                                     double* values) {
+  for (int i = 0; i < count; ++i) values[i] = column[rows[i]];
+  return RangeOfValues(values, count);
+}
+
+int ScalarIForestOps::Partition(int* rows, int count, const double* values,
+                                double split, int* scratch) {
+  return StablePartition(
+      rows, count, [values](int i, int) { return values[i]; }, split,
+      scratch);
+}
+
+int ScalarIForestOps::PartitionGather(int* rows, int count,
+                                      const double* column, double split,
+                                      int* scratch) {
+  return StablePartition(
+      rows, count, [column](int, int p) { return column[p]; }, split,
+      scratch);
+}
+
+void ScalarIForestOps::Credit(const int* rows, int count, double path,
+                              double* path_sum) {
+  for (int i = 0; i < count; ++i) path_sum[rows[i]] += path;
+}
+
+#if SUBEX_HAVE_AVX512_KERNELS
+namespace {
+
+// Lanes [0, count) of an 8-lane mask, count <= 8.
+SUBEX_AVX512_TARGET inline __mmask8 FirstLanes(int count) {
+  return static_cast<__mmask8>((1u << count) - 1u);
+}
+
+// min_pd(a, b), or max_pd with kMax. (The masked forms, with every lane
+// set, keep GCC 12's -Wuninitialized quiet about the unmasked forms'
+// undefined pass-through operand.)
+template <bool kMax>
+SUBEX_AVX512_TARGET inline __m512d LaneStep(__m512d a, __m512d b) {
+  return kMax ? _mm512_mask_max_pd(a, 0xff, a, b)
+              : _mm512_mask_min_pd(a, 0xff, a, b);
+}
+
+// The least (kMax: greatest) lane of `v`. Lanes that compare equal may
+// come back in either's bits.
+template <bool kMax>
+SUBEX_AVX512_TARGET inline double ReduceLanes(__m512d v) {
+  v = LaneStep<kMax>(v, _mm512_mask_shuffle_f64x2(v, 0xff, v, v, 0x4e));
+  v = LaneStep<kMax>(v, _mm512_mask_shuffle_f64x2(v, 0xff, v, v, 0xb1));
+  v = LaneStep<kMax>(v, _mm512_mask_permute_pd(v, 0xff, v, 0x55));
+  return _mm512_cvtsd_f64(v);
+}
+
+// Stable partition of rows[0, count) by value < split, where the values
+// are `source[i]` or, with `gather`, `source[rows[i]]`: per 8 rows, the rows
+// below `split` are compressed (in lane order) onto the front and the rest
+// onto `scratch`, which a masked copy moves behind the front at the end.
+SUBEX_AVX512_TARGET inline int PartitionLanes(int* rows, int count,
+                                              const double* source,
+                                              bool gather, double split,
+                                              int* scratch) {
+  const __m512d split_v = _mm512_set1_pd(split);
+  int mid = 0;
+  int num_right = 0;
+  for (int i = 0; i < count; i += 8) {
+    const __mmask8 m = FirstLanes(std::min(count - i, 8));
+    const __m256i idx = _mm256_maskz_loadu_epi32(m, rows + i);
+    const __m512d v =
+        gather ? _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx,
+                                          source, 8)
+               : _mm512_maskz_loadu_pd(m, source + i);
+    const __mmask8 below =
+        _mm512_mask_cmp_pd_mask(m, v, split_v, _CMP_LT_OQ);
+    const __mmask8 above = m & static_cast<__mmask8>(~below);
+    const int num_below = __builtin_popcount(below);
+    const int num_above = __builtin_popcount(above);
+    // mid <= i, and lanes [i, i + 8) are already loaded.
+    _mm256_mask_storeu_epi32(rows + mid, FirstLanes(num_below),
+                             _mm256_maskz_compress_epi32(below, idx));
+    _mm256_mask_storeu_epi32(scratch + num_right, FirstLanes(num_above),
+                             _mm256_maskz_compress_epi32(above, idx));
+    mid += num_below;
+    num_right += num_above;
+  }
+  for (int i = 0; i < num_right; i += 8) {
+    const __mmask8 m = FirstLanes(std::min(num_right - i, 8));
+    _mm256_mask_storeu_epi32(rows + mid + i, m,
+                             _mm256_maskz_loadu_epi32(m, scratch + i));
+  }
+  return mid;
+}
+
+}  // namespace
+
+SUBEX_AVX512_TARGET std::pair<double, double> Avx512IForestOps::ScanRange(
+    const double* column, const int* rows, int count, double* values) {
+  // _mm512_mask_min_pd(acc, m, v, acc) is `v < acc ? v : acc`, that is
+  // std::min(acc, v) operand for operand (max likewise), so a lane seeded
+  // from a NaN first value stays NaN and a lane seeded from a number
+  // ignores NaNs, as the scalar pairs do. Any two results that compare
+  // equal then have the same bits, except +0 and -0: a zero bound is
+  // recomputed by the scalar accumulation order.
+  const __m512d first = _mm512_set1_pd(column[rows[0]]);
+  __m512d lo = first;
+  __m512d hi = first;
+  for (int i = 0; i < count; i += 8) {
+    const __mmask8 m = FirstLanes(std::min(count - i, 8));
+    const __m256i idx = _mm256_maskz_loadu_epi32(m, rows + i);
+    const __m512d v =
+        _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx, column, 8);
+    _mm512_mask_storeu_pd(values + i, m, v);
+    lo = _mm512_mask_min_pd(lo, m, v, lo);
+    hi = _mm512_mask_max_pd(hi, m, v, hi);
+  }
+  const double min = ReduceLanes<false>(lo);
+  const double max = ReduceLanes<true>(hi);
+  if (min == 0.0 || max == 0.0) return RangeOfValues(values, count);
+  return {min, max};
+}
+
+SUBEX_AVX512_TARGET int Avx512IForestOps::Partition(int* rows, int count,
+                                                    const double* values,
+                                                    double split,
+                                                    int* scratch) {
+  return PartitionLanes(rows, count, values, false, split, scratch);
+}
+
+SUBEX_AVX512_TARGET int Avx512IForestOps::PartitionGather(
+    int* rows, int count, const double* column, double split, int* scratch) {
+  return PartitionLanes(rows, count, column, true, split, scratch);
+}
+
+SUBEX_AVX512_TARGET void Avx512IForestOps::Credit(const int* rows, int count,
+                                                  double path,
+                                                  double* path_sum) {
+  const __m512d path_v = _mm512_set1_pd(path);
+  for (int i = 0; i < count; i += 8) {
+    const __mmask8 m = FirstLanes(std::min(count - i, 8));
+    const __m256i idx = _mm256_maskz_loadu_epi32(m, rows + i);
+    const __m512d sum =
+        _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx, path_sum, 8);
+    _mm512_mask_i32scatter_pd(path_sum, m, idx, _mm512_add_pd(sum, path_v),
+                              8);
+  }
+}
+
+#endif  // SUBEX_HAVE_AVX512_KERNELS
+
+std::vector<double> IsolationForestScores(
+    const IsolationForest::Options& options, const Dataset& data,
+    const Subspace& subspace, KernelPath path) {
+#if SUBEX_HAVE_AVX512_KERNELS
+  if (path == KernelPath::kAvx512) {
+    return ScoreForest<Avx512IForestOps>(options, data, subspace);
+  }
+#else
+  (void)path;
+#endif
+  return ScoreForest<ScalarIForestOps>(options, data, subspace);
+}
+
 std::vector<double> IsolationForest::Score(const Dataset& data,
                                            const Subspace& subspace) const {
-  const int n = static_cast<int>(data.num_points());
-  SUBEX_CHECK(n >= 2);
-
-  std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
-
-  const int psi = std::min(options_.subsample_size, n);
-  const int height_limit =
-      static_cast<int>(std::ceil(std::log2(static_cast<double>(psi))));
-  const double c_psi = AveragePathLength(psi);
-  TreeKernel kernel(data, features, psi, height_limit);
-
-  // Deterministic per-(seed, subspace) randomness so Score is pure.
-  const std::uint64_t subspace_salt = SubspaceHash()(subspace);
-  std::vector<double> mean_scores(n, 0.0);
-  std::vector<double> path_sum(n);
-
-  for (int rep = 0; rep < options_.num_repetitions; ++rep) {
-    Rng rng(options_.seed ^ subspace_salt ^
-            (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(rep + 1)));
-    std::fill(path_sum.begin(), path_sum.end(), 0.0);
-    for (int t = 0; t < options_.num_trees; ++t) {
-      kernel.AddPathLengths(rng, path_sum.data());
-    }
-    for (int p = 0; p < n; ++p) {
-      const double mean_path = path_sum[p] / options_.num_trees;
-      mean_scores[p] += std::pow(2.0, -mean_path / c_psi);
-    }
-  }
-  for (double& s : mean_scores) s /= options_.num_repetitions;
-  return mean_scores;
+  return IsolationForestScores(options_, data, subspace, ActiveKernelPath());
 }
 
 }  // namespace subex

@@ -25,6 +25,8 @@ namespace subex {
 /// each accepted split also partitions the rows outside the subsample, so
 /// every point is credited with its leaf's `depth + c(size)` as the leaf is
 /// built and no tree is stored or walked. All scratch is local to the call.
+/// The node loops run in AVX-512 on hosts that have it (detect/simd.h),
+/// with the same score bits.
 class IsolationForest final : public Detector {
  public:
   struct Options {

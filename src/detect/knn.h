@@ -62,7 +62,9 @@ KnnTable ComputeKnn(const Dataset& data, const Subspace& subspace, int k);
 /// and sweeps outward from every point, stopping a direction once the axis
 /// gap alone exceeds the current k-th distance. O(n log n + n * visited *
 /// |subspace|) time, O(n * k) output and O(n * |subspace|) per-thread
-/// scratch. Counted by the registry counter `detect.knn.sweeps`.
+/// scratch. Counted by the registry counter `detect.knn.sweeps`. On hosts
+/// with AVX-512, finite inputs sweep 8 positions per side at a time
+/// (detect/simd.h), with the same table.
 KnnTable SweepKnn(const Dataset& data, const Subspace& subspace, int k);
 
 }  // namespace subex
