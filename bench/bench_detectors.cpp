@@ -160,12 +160,26 @@ void BM_IForestQuick(benchmark::State& state) {
 }
 
 // The Rng engine's speed: 4096 raw 64-bit draws (arg 0), `UniformInt`
-// draws (arg 1) or `Uniform` draws (arg 2) per iteration.
+// draws (arg 1) or `Uniform` draws (arg 2) per iteration, or one
+// `SampleMask(256, taken)` over 300 rows (arg 3), the Isolation Forest
+// subsample of `grid_batch`.
 void BM_RngDraws(benchmark::State& state) {
   constexpr int kDraws = 4096;
   const int kind = static_cast<int>(state.range(0));
-  state.SetLabel(kind == 0 ? "raw" : kind == 1 ? "UniformInt" : "Uniform");
+  static constexpr const char* kLabels[] = {"raw", "UniformInt", "Uniform",
+                                            "SampleMask 256 of 300"};
+  state.SetLabel(kLabels[kind]);
   Rng rng(42);
+  if (kind == 3) {
+    std::vector<unsigned char> taken(300);
+    for (auto _ : state) {
+      rng.SampleMask(256, taken);
+      benchmark::DoNotOptimize(taken.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 256);
+    return;
+  }
   for (auto _ : state) {
     for (int i = 0; i < kDraws; ++i) {
       if (kind == 0) {
@@ -210,7 +224,7 @@ BENCHMARK(BM_LofThenFastAbodShared)
     ->Args({250, 0})
     ->Args({250, 1})
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_RngDraws)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_RngDraws)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 BENCHMARK(BM_HicsContrast)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // Console reporter that additionally captures every measured run into a

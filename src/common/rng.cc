@@ -38,10 +38,16 @@ void Rng::SampleMask(int k, std::span<unsigned char> taken) {
   const int n = static_cast<int>(taken.size());
   SUBEX_CHECK(k >= 0 && k <= n);
   // Floyd's algorithm: exactly k draws, membership tested on the mask.
+  // Step j marks t, or j when t is already marked. Every earlier step marked
+  // an index below j, so taken[j] is 0 here and storing `taken[t]` there
+  // marks j exactly when t was taken. Storing taken[t] = 1 second also
+  // covers t == j, which must end marked.
   std::fill(taken.begin(), taken.end(), 0);
   for (int j = n - k; j < n; ++j) {
     const int t = UniformInt(0, j);
-    taken[taken[t] ? j : t] = 1;
+    const unsigned char hit = taken[t];
+    taken[j] = hit;
+    taken[t] = 1;
   }
 }
 

@@ -1,6 +1,8 @@
 #ifndef SUBEX_COMMON_RNG_H_
 #define SUBEX_COMMON_RNG_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
@@ -45,6 +47,26 @@ class Mt19937_64 {
   int next_ = kStateSize;
 };
 
+/// `std::generate_canonical<double, 53>`'s value in [0, 1) for the 64-bit
+/// engine word `x`: libstdc++ takes `double(x) / 2^64`, clamped below 1.
+/// `hi32 * 2^32 + lo32` is `double(x)` with the same single rounding,
+/// without the branch on the top bit that an unsigned 64-bit conversion
+/// compiles to.
+inline double CanonicalFromWord(std::uint64_t x) {
+  const double hi32 = static_cast<double>(static_cast<std::uint32_t>(x >> 32));
+  const double lo32 = static_cast<double>(static_cast<std::uint32_t>(x));
+  return std::min((hi32 * 0x1p32 + lo32) * 0x1p-64, 0x1.fffffffffffffp-1);
+}
+
+// libstdc++'s real distributions assert their parameters under
+// _GLIBCXX_ASSERTIONS, which the sanitizer build defines along with NDEBUG;
+// `Rng` checks the same there and in debug builds.
+#if defined(_GLIBCXX_ASSERTIONS)
+#define SUBEX_RNG_PARAM_CHECK(cond) SUBEX_CHECK(cond)
+#else
+#define SUBEX_RNG_PARAM_CHECK(cond) SUBEX_DCHECK(cond)
+#endif
+
 /// Seeded pseudo-random number generator facade.
 ///
 /// Every stochastic component in the library (isolation forest, RefOut's
@@ -72,14 +94,26 @@ class Rng {
     return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
   }
 
-  /// Uniform double in `[lo, hi)`.
+  /// Uniform double in `[lo, hi)`: the value
+  /// `std::uniform_real_distribution<double>(lo, hi)` returns, as libstdc++
+  /// computes it from one word.
   double Uniform(double lo = 0.0, double hi = 1.0) {
-    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+    SUBEX_RNG_PARAM_CHECK(lo <= hi);
+    return CanonicalFromWord(engine_()) * (hi - lo) + lo;
   }
 
-  /// Standard normal deviate scaled to N(mean, stddev^2).
+  /// Standard normal deviate scaled to N(mean, stddev^2): the value a fresh
+  /// `std::normal_distribution<double>(mean, stddev)` returns, by libstdc++'s
+  /// Marsaglia polar steps over `CanonicalFromWord`.
   double Gaussian(double mean = 0.0, double stddev = 1.0) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
+    SUBEX_RNG_PARAM_CHECK(stddev > 0.0);
+    double x, y, r2;
+    do {
+      x = 2.0 * CanonicalFromWord(engine_()) - 1.0;
+      y = 2.0 * CanonicalFromWord(engine_()) - 1.0;
+      r2 = x * x + y * y;
+    } while (r2 > 1.0 || r2 == 0.0);
+    return y * std::sqrt(-2 * std::log(r2) / r2) * stddev + mean;
   }
 
   /// Derives an independent child generator; used to hand each parallel task
@@ -89,7 +123,9 @@ class Rng {
   /// Samples `k` distinct values from `[0, n)` without replacement, where
   /// n = `taken.size()`, and marks them: afterwards `taken[i]` is 1 exactly
   /// for the sampled i. Requires `k <= n`. Makes exactly `k` draws (Floyd's
-  /// algorithm) and costs O(n + k) time with no allocation.
+  /// algorithm) and costs O(n + k) time with no allocation. Each step's
+  /// stores go to addresses fixed before its load, so no step waits on the
+  /// byte the previous one stored.
   void SampleMask(int k, std::span<unsigned char> taken);
 
   /// The values `SampleMask` marks, returned in ascending order.

@@ -63,8 +63,10 @@ KnnTable ComputeKnn(const Dataset& data, const Subspace& subspace, int k);
 /// gap alone exceeds the current k-th distance. O(n log n + n * visited *
 /// |subspace|) time, O(n * k) output and O(n * |subspace|) per-thread
 /// scratch. Counted by the registry counter `detect.knn.sweeps`. On hosts
-/// with AVX-512, finite inputs sweep 8 positions per side at a time
-/// (detect/simd.h), with the same table.
+/// with AVX-512 (detect/simd.h), finite inputs with k <= 16 sweep 8
+/// positions per side at a time, from values packed column-major so each
+/// feature's 8 lanes are one load, and keep each query's best-k list in
+/// registers, inserting without a branch. The table is the same.
 KnnTable SweepKnn(const Dataset& data, const Subspace& subspace, int k);
 
 }  // namespace subex

@@ -4,8 +4,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <random>
 #include <set>
+#include <utility>
 #include <vector>
 
 namespace subex {
@@ -41,6 +44,90 @@ TEST(RngTest, EngineMatchesStdMt19937_64) {
     }
     EXPECT_EQ(distribution_mismatches, 0) << "seed " << seed;
   }
+}
+
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// A 64-bit engine that returns one fixed word, to drive a distribution
+// with chosen words.
+struct FixedWordEngine {
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+  result_type word;
+  result_type operator()() { return word; }
+};
+
+// `Uniform` returns `std::uniform_real_distribution<double>`'s bits over
+// the same stream, for many seeds and ranges, and `CanonicalFromWord`
+// returns `std::generate_canonical`'s for chosen words: around 2^53, where
+// doubles stop being exact, and near 2^64, where 2^64 - 1024 rounds up to
+// 2^64 and the clamp below 1 fires.
+TEST(RngTest, UniformMatchesStdDistribution) {
+  const std::pair<double, double> ranges[] = {
+      {0.0, 1.0},   {-2.5, 1.0},     {-1.0, 2.0},         {0.15, 0.3},
+      {5.0, 5.0},   {-7.0, -3.0},    {-1e-300, 1e-300},   {0.0, 1e300},
+      {-0.0, 0.0},  {1.0, 1.0 + 1e-15}};
+  int mismatches = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 2000; ++i) {
+      const auto [lo, hi] = ranges[i % std::size(ranges)];
+      std::uniform_real_distribution<double> reals(lo, hi);
+      mismatches += Bits(rng.Uniform(lo, hi)) != Bits(reals(reference));
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  constexpr std::uint64_t kTop = ~std::uint64_t{0};
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  const std::uint64_t words[] = {0,          1,          2,
+                                 k53 - 1,    k53,        k53 + 1,
+                                 k53 + 3,    std::uint64_t{1} << 63,
+                                 kTop,       kTop - 1023, kTop - 1024,
+                                 kTop - 2047, 0x9e3779b97f4a7c15ull};
+  for (const std::uint64_t word : words) {
+    FixedWordEngine engine{word};
+    const double u = CanonicalFromWord(word);
+    EXPECT_EQ(Bits(u), Bits(std::generate_canonical<double, 53>(engine)))
+        << "word " << word;
+    EXPECT_LT(u, 1.0) << "word " << word;
+    for (const auto& [lo, hi] : ranges) {
+      std::uniform_real_distribution<double> reals(lo, hi);
+      EXPECT_EQ(Bits(u * (hi - lo) + lo), Bits(reals(engine)))
+          << "word " << word << ", range [" << lo << ", " << hi << ")";
+    }
+  }
+  // 2^64 - 1024 and 2^64 - 1025 land on the largest double below 1, the
+  // first through the clamp, the second by rounding.
+  EXPECT_EQ(CanonicalFromWord(kTop - 1023), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(CanonicalFromWord(kTop - 1024), 0x1.fffffffffffffp-1);
+}
+
+// `Gaussian` returns a fresh `std::normal_distribution<double>`'s bits
+// over the same stream, polar rejections included, so the stream stays
+// aligned after each deviate.
+TEST(RngTest, GaussianMatchesStdDistribution) {
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {0.0, 0.045}, {5.0, 2.0}, {-3.0, 1e-9}, {0.5, 1e300}};
+  int mismatches = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    Rng rng(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 2000; ++i) {
+      const auto [mean, stddev] = params[i % std::size(params)];
+      std::normal_distribution<double> normals(mean, stddev);
+      mismatches +=
+          Bits(rng.Gaussian(mean, stddev)) != Bits(normals(reference));
+    }
+    mismatches += rng.engine()() != reference();
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(RngTest, SameSeedSameStream) {
@@ -164,6 +251,15 @@ TEST(RngTest, SampleWithoutReplacementPinnedOutput) {
         << "seed " << c.seed;
     EXPECT_EQ(rng.UniformInt(0, 1 << 30), c.next_draw) << "seed " << c.seed;
   }
+  // An Isolation Forest subsample of `grid_batch`'s shape, 256 of 300 rows,
+  // pinned by a checksum of the set.
+  Rng rng(7);
+  const std::vector<int> subsample = rng.SampleWithoutReplacement(300, 256);
+  ASSERT_EQ(subsample.size(), 256u);
+  std::uint64_t checksum = 0;
+  for (int i : subsample) checksum = checksum * 1000003u + i;
+  EXPECT_EQ(checksum, 4573380496075266774ull);
+  EXPECT_EQ(rng.UniformInt(0, 1 << 30), 404273700);
 }
 
 TEST(RngTest, ShufflePermutes) {

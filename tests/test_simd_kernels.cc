@@ -365,6 +365,75 @@ TEST(KnnSimdTest, OverflowingDistancesMatchScalarBitwise) {
   if (!HostRunsAvx512()) GTEST_SKIP() << kNoAvx512;
 }
 
+// Every k around the register list's 16 entries on both sides of the
+// gate: k <= 16 runs the register list, 17 the scalar sweep, and k = n - 1
+// (the clamp) fills the list exactly for every n up to 17. Sizes straddle
+// the 8-lane batches.
+TEST(KnnSimdTest, RegisterListBoundaryMatchesScalarBitwise) {
+  Stream s(25);
+  int cases = 0;
+  for (int n = 2; n <= 26; ++n) {
+    for (int d : {1, 2, 3, 7}) {
+      for (Column kind : {Column::kUniform, Column::kDuplicates}) {
+        const Dataset data = MakeData(n, std::vector<Column>(d, kind), s);
+        for (int k : {1, 10, 15, 16, 17, n - 1}) {
+          ExpectSweepsMatch(data, k, &cases);
+        }
+      }
+    }
+  }
+  if (!HostRunsAvx512()) GTEST_SKIP() << kNoAvx512;
+  EXPECT_GT(cases, 1000);
+}
+
+// Columns where distances tie everywhere, so only the index orders the
+// list: every value equal (every distance 0), and two levels 1e300 apart
+// (every distance 0 or an overflowed +Inf).
+TEST(KnnSimdTest, AllTiedDistancesMatchScalarBitwise) {
+  int cases = 0;
+  for (int n : {2, 9, 16, 17, 40, 300}) {
+    for (int d : {1, 3}) {
+      Matrix equal(n, d);
+      Matrix two_level(n, d);
+      for (int p = 0; p < n; ++p) {
+        for (int f = 0; f < d; ++f) {
+          equal(p, f) = 0.75;
+          two_level(p, f) = (p * 7 + f) % 3 == 0 ? 1e300 : -1e300;
+        }
+      }
+      for (const Matrix* m : {&equal, &two_level}) {
+        const Dataset data{Matrix(*m)};
+        for (int k : {1, 10, 15, 16, 17}) ExpectSweepsMatch(data, k, &cases);
+      }
+    }
+  }
+  if (!HostRunsAvx512()) GTEST_SKIP() << kNoAvx512;
+  EXPECT_GT(cases, 100);
+}
+
+// Queries within 8 sweep positions of either end, whose batches toward
+// that end hold fewer than 8 positions: points clustered at both ends of
+// the first feature, so those partial batches hold the nearest neighbours,
+// and sizes on both sides of a multiple of 8.
+TEST(KnnSimdTest, QueriesNearSweepEndsMatchScalarBitwise) {
+  Stream s(27);
+  int cases = 0;
+  for (int n : {3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 41}) {
+    for (int d : {1, 2, 4}) {
+      Matrix m(n, d);
+      for (int p = 0; p < n; ++p) {
+        const double end = s.Below(2) == 0 ? 0.0 : 100.0;
+        m(p, 0) = end + s.Unit();
+        for (int f = 1; f < d; ++f) m(p, f) = s.Unit();
+      }
+      const Dataset data(std::move(m));
+      for (int k : {1, 3, 10, 15}) ExpectSweepsMatch(data, k, &cases);
+    }
+  }
+  if (!HostRunsAvx512()) GTEST_SKIP() << kNoAvx512;
+  EXPECT_GT(cases, 100);
+}
+
 // The dispatch follows CPUID; prints the path so a CI log shows it.
 TEST(KnnSimdTest, ActivePathFollowsCpuid) {
   std::printf("kernel path: %s\n", KernelPathName(ActiveKernelPath()));
