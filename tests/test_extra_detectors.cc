@@ -13,6 +13,7 @@
 #include "detect/fast_abod.h"
 #include "detect/knn_distance.h"
 #include "detect/loda.h"
+#include "knn_pinned_data.h"
 
 namespace subex {
 namespace {
@@ -180,6 +181,40 @@ TEST(LodaTest, ConstantDataDoesNotCrash) {
   for (double s : Loda(FastLodaOptions()).Score(d, Subspace())) {
     EXPECT_TRUE(std::isfinite(s));
   }
+}
+
+// The exact score bits, pinned: automatic and fixed bin counts, the empty
+// subspace, one-feature subspaces and a constant column (feature 0 of the
+// duplicate-heavy set, whose projections all land on one value, so its
+// histogram width is the 1e-12 floor). Any change to the projector draws,
+// the projection order, the bin geometry or the density term shows up here.
+TEST(LodaTest, PinnedScoreBits) {
+  using knn_pinned::HashDoubles;
+  Loda::Options fixed_bins = FastLodaOptions();
+  fixed_bins.num_bins = 8;
+  Loda::Options auto_bins = FastLodaOptions();
+  auto_bins.num_projections = 40;
+  auto_bins.seed = 2024;
+  const std::vector<Subspace> subspaces = {
+      Subspace(), Subspace({0}), Subspace({1}), Subspace({0, 1, 2}),
+      Subspace({2, 3})};
+  std::vector<std::uint64_t> hashes;
+  for (const Dataset& d :
+       {knn_pinned::Hics(300), knn_pinned::DuplicateHeavy()}) {
+    std::uint64_t hash = knn_pinned::kFnvOffsetBasis;
+    for (const Loda::Options& options : {auto_bins, fixed_bins}) {
+      const Loda loda(options);
+      for (const Subspace& s : subspaces) {
+        hash = HashDoubles(hash, loda.Score(d, s));
+      }
+    }
+    hashes.push_back(hash);
+  }
+  const std::vector<std::uint64_t> pinned = {
+      0x185be65107b9df68ull,  // HiCS n = 300
+      0x6003c393c06c2fd5ull,  // duplicate-heavy
+  };
+  EXPECT_EQ(hashes, pinned);
 }
 
 }  // namespace
