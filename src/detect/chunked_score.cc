@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/rng.h"
 #include "detect/knn.h"
 #include "detect/lof.h"
 
@@ -220,89 +219,42 @@ std::vector<double> ScoreLofChunked(ChunkedDataset& data,
 std::vector<double> ScoreLodaChunked(ChunkedDataset& data,
                                      const Subspace& subspace,
                                      const Loda::Options& options) {
-  const std::size_t n = data.num_rows();
-  SUBEX_CHECK(static_cast<int>(n) >= 3);
-  SUBEX_CHECK(options.num_projections >= 1);
-  SUBEX_CHECK(options.num_bins >= 0);
-
-  const std::vector<FeatureId> features = ResolveFeatures(data, subspace);
-  const int dim = static_cast<int>(features.size());
-  const int sparse_count =
-      std::max(1, static_cast<int>(std::lround(std::sqrt(dim))));
-  const int bins =
-      options.num_bins > 0
-          ? options.num_bins
-          : std::max(4, static_cast<int>(2.0 * std::cbrt(static_cast<int>(n))));
-
-  // Identical RNG stream to `Loda::Score`: one generator, per projector the
-  // active set then the weights — the streaming passes draw nothing.
-  Rng rng(options.seed ^ SubspaceHash()(subspace));
+  const Loda loda(options);
+  const int n = static_cast<int>(data.num_rows());
+  SUBEX_CHECK(n >= 3);
+  const int bins = loda.NumBins(n);
   std::vector<double> neg_log_density_sum(n, 0.0);
-  std::vector<int> histogram(bins);
 
   // Applies `fn(global_row, projected_value)` to every point, recomputing
-  // the sparse projection chunk by chunk. Each pass reproduces the exact
-  // accumulation order of the in-RAM projection loop, so the recomputed
-  // doubles are identical across passes.
+  // the projection chunk by chunk; every pass computes the same doubles.
   std::vector<Pinned<ColumnChunk>> chunks;
-  auto for_each_projection = [&](std::span<const int> active,
-                                 std::span<const double> weights,
-                                 auto&& fn) {
-    chunks.clear();
-    chunks.resize(active.size());
+  auto for_each_projection = [&](const Loda::Projector& proj, auto&& fn) {
+    chunks.resize(proj.features.size());
     for (std::size_t block = 0; block < data.num_blocks(); ++block) {
-      for (std::size_t j = 0; j < active.size(); ++j) {
-        chunks[j] = data.Chunk(features[active[j]], block);
+      for (std::size_t j = 0; j < chunks.size(); ++j) {
+        chunks[j] = data.Chunk(proj.features[j], block);
         SUBEX_CHECK_MSG(chunks[j].valid(), "chunk read failed");
       }
       const std::size_t rows = data.RowsInBlock(block);
       const std::size_t base = block * data.rows_per_chunk();
       for (std::size_t r = 0; r < rows; ++r) {
-        double v = 0.0;
-        for (std::size_t j = 0; j < active.size(); ++j) {
-          v += weights[j] * (*chunks[j])[r];
-        }
-        fn(base + r, v);
+        fn(base + r,
+           proj.Project([&](std::size_t j) { return (*chunks[j])[r]; }));
       }
     }
     chunks.clear();
   };
 
-  for (int t = 0; t < options.num_projections; ++t) {
-    const std::vector<int> active =
-        rng.SampleWithoutReplacement(dim, sparse_count);
-    std::vector<double> weights(active.size());
-    for (double& w : weights) w = rng.Gaussian();
-
-    // Pass 1: projection range (the values, not the positions, determine
-    // the histogram, so a streaming min/max matches minmax_element).
-    double lo = 0.0;
-    double hi = 0.0;
-    bool first = true;
-    for_each_projection(active, weights, [&](std::size_t, double v) {
-      if (first) {
-        lo = hi = v;
-        first = false;
-        return;
-      }
-      if (v < lo) lo = v;
-      if (v > hi) hi = v;
-    });
-    const double width = std::max((hi - lo) / bins, 1e-12);
-
-    // Pass 2: histogram.
-    std::fill(histogram.begin(), histogram.end(), 0);
-    for_each_projection(active, weights, [&](std::size_t, double v) {
-      const int b = std::min(bins - 1, static_cast<int>((v - lo) / width));
-      ++histogram[b];
-    });
-
-    // Pass 3: Laplace-smoothed density accumulation.
-    for_each_projection(active, weights, [&](std::size_t p, double v) {
-      const int b = std::min(bins - 1, static_cast<int>((v - lo) / width));
-      const double density =
-          (histogram[b] + 1.0) / ((static_cast<int>(n) + bins) * width);
-      neg_log_density_sum[p] -= std::log(density);
+  for (const Loda::Projector& proj :
+       loda.DrawProjectors(subspace, data.num_cols())) {
+    Loda::Range range;
+    for_each_projection(proj, [&](std::size_t, double v) { range.Fold(v); });
+    Loda::Histogram histogram(range, bins);
+    if (!histogram.finite(n)) continue;
+    for_each_projection(proj,
+                        [&](std::size_t, double v) { histogram.Add(v); });
+    for_each_projection(proj, [&](std::size_t p, double v) {
+      neg_log_density_sum[p] -= histogram.LogDensity(v, n);
     });
   }
   for (double& s : neg_log_density_sum) s /= options.num_projections;

@@ -53,11 +53,12 @@ std::vector<double> ScoreLofChunked(ChunkedDataset& data,
                                     std::span<const int> queries = {});
 
 /// LODA scores for every point (LODA is linear in n, so the full vector is
-/// the natural unit). Per projector, three streaming passes over the
-/// active-feature chunks — min/max, histogram, density — recompute the
-/// projections rather than materializing a per-point array; the
-/// neg-log-density accumulator is the only O(n) state. Matches
-/// `Loda(options).Score(...)` bitwise.
+/// the natural unit), built on the `Loda` kernel. Per projector, three
+/// streaming passes over the active-feature chunks — range, histogram,
+/// density — recompute the projection rather than materializing a
+/// per-point array, so the neg-log-density accumulator stays the only O(n)
+/// state. Matches `Loda(options).Score(...)` bitwise,
+/// non-finite values included.
 std::vector<double> ScoreLodaChunked(ChunkedDataset& data,
                                      const Subspace& subspace,
                                      const Loda::Options& options);

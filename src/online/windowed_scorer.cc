@@ -1,50 +1,37 @@
 #include "online/windowed_scorer.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
-#include "common/rng.h"
 
 namespace subex {
 
 namespace {
 
-/// Batch LODA's bin count for a window of `n` points — must stay the exact
-/// expression of `Loda::Score` for parity.
-int BinsFor(const Loda::Options& options, int n) {
-  return options.num_bins > 0
-             ? options.num_bins
-             : std::max(4, static_cast<int>(2.0 * std::cbrt(n)));
-}
-
-/// Batch LODA's histogram width — exact expression of `Loda::Score`.
-double WidthFor(double lo, double hi, int bins) {
-  return std::max((hi - lo) / bins, 1e-12);
-}
-
-/// Batch LODA's bin index — exact expression of `Loda::Score`.
-int BinFor(double v, double lo, double width, int bins) {
-  return std::min(bins - 1, static_cast<int>((v - lo) / width));
+/// One row's projected value per projector; `value(f)` is the row's value
+/// of feature `f`.
+template <typename ValueOf>
+std::vector<double> ProjectRow(const std::vector<Loda::Projector>& projectors,
+                               ValueOf&& value) {
+  std::vector<double> vals(projectors.size());
+  for (std::size_t t = 0; t < projectors.size(); ++t) {
+    const Loda::Projector& proj = projectors[t];
+    vals[t] = proj.Project(
+        [&](std::size_t j) { return value(proj.features[j]); });
+  }
+  return vals;
 }
 
 }  // namespace
 
 struct IncrementalLodaScorer::SubspaceState {
   Subspace subspace;
-  /// One sparse projector, stored as the batch path iterates it: entry `j`
-  /// contributes `weights[j] * row[features[j]]`, in `j` order, so the
-  /// incremental dot product is the bitwise batch value.
-  struct Projector {
-    std::vector<FeatureId> features;
-    std::vector<double> weights;
-    double lo = 0.0;
-    double hi = 0.0;
-    std::vector<int> histogram;
-  };
-  std::vector<Projector> projectors;
+  std::vector<Loda::Projector> projectors;
+  /// Per projector: the range of its window values and the histogram over
+  /// them.
+  std::vector<Loda::Range> ranges;
+  std::vector<Loda::Histogram> histograms;
   /// Projected values of every window row (oldest first): one value per
   /// projector, computed once at point entry.
   std::deque<std::vector<double>> projected;
@@ -54,9 +41,7 @@ struct IncrementalLodaScorer::SubspaceState {
 
 IncrementalLodaScorer::IncrementalLodaScorer(const Loda::Options& options,
                                              std::size_t max_subspace_states)
-    : options_(options),
-      batch_(options),
-      max_subspace_states_(max_subspace_states) {
+    : batch_(options), max_subspace_states_(max_subspace_states) {
   SUBEX_CHECK(max_subspace_states >= 1);
 }
 
@@ -78,99 +63,45 @@ IncrementalLodaScorer::SubspaceState& IncrementalLodaScorer::StateFor(
     states_.erase(lru);
   }
 
-  // Draw the projectors from the identical Rng call sequence as
-  // `Loda::Score` (seed xor subspace hash; per projector: feature sample,
-  // then Gaussian weights) so the projector set is bitwise the batch one.
   auto state = std::make_unique<SubspaceState>();
   state->subspace = subspace;
-  std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(window.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
+  state->projectors = batch_.DrawProjectors(subspace, window.num_features());
+  for (std::size_t p = 0; p < window.num_points(); ++p) {
+    state->projected.push_back(ProjectRow(
+        state->projectors, [&](FeatureId f) { return window.Value(p, f); }));
   }
-  const int dim = static_cast<int>(features.size());
-  const int sparse_count =
-      std::max(1, static_cast<int>(std::lround(std::sqrt(dim))));
-  Rng rng(options_.seed ^ SubspaceHash()(subspace));
-  state->projectors.resize(
-      static_cast<std::size_t>(options_.num_projections));
-  for (auto& proj : state->projectors) {
-    const std::vector<int> active =
-        rng.SampleWithoutReplacement(dim, sparse_count);
-    proj.features.resize(active.size());
-    proj.weights.resize(active.size());
-    for (std::size_t j = 0; j < active.size(); ++j) {
-      proj.features[j] = features[active[static_cast<std::size_t>(j)]];
-    }
-    for (double& w : proj.weights) w = rng.Gaussian();
-  }
-
-  const std::size_t n = window.num_points();
+  state->bins = batch_.NumBins(static_cast<int>(window.num_points()));
   const std::size_t num_proj = state->projectors.size();
-  for (std::size_t p = 0; p < n; ++p) {
-    std::vector<double> vals(num_proj);
-    for (std::size_t t = 0; t < num_proj; ++t) {
-      const auto& proj = state->projectors[t];
-      double v = 0.0;
-      for (std::size_t j = 0; j < proj.weights.size(); ++j) {
-        v += proj.weights[j] * window.Value(p, proj.features[j]);
-      }
-      vals[t] = v;
-    }
-    state->projected.push_back(std::move(vals));
+  state->ranges.resize(num_proj);
+  state->histograms.resize(num_proj);
+  for (std::size_t t = 0; t < num_proj; ++t) {
+    for (const auto& vals : state->projected) state->ranges[t].Fold(vals[t]);
+    RebuildHistogram(*state, t);
   }
-  state->bins = BinsFor(options_, static_cast<int>(n));
-  for (std::size_t t = 0; t < num_proj; ++t) RebuildProjector(*state, t);
 
   state->last_touch = ++touch_clock_;
   states_.push_back(std::move(state));
   return *states_.back();
 }
 
-void IncrementalLodaScorer::RebuildProjector(SubspaceState& state,
+void IncrementalLodaScorer::RebuildHistogram(SubspaceState& state,
                                              std::size_t t) {
-  auto& proj = state.projectors[t];
-  SUBEX_CHECK(!state.projected.empty());
-  double lo = state.projected.front()[t];
-  double hi = lo;
-  for (const auto& vals : state.projected) {
-    lo = std::min(lo, vals[t]);
-    hi = std::max(hi, vals[t]);
-  }
-  proj.lo = lo;
-  proj.hi = hi;
-  const double width = WidthFor(lo, hi, state.bins);
-  proj.histogram.assign(static_cast<std::size_t>(state.bins), 0);
-  for (const auto& vals : state.projected) {
-    ++proj.histogram[static_cast<std::size_t>(
-        BinFor(vals[t], lo, width, state.bins))];
-  }
+  Loda::Histogram& histogram = state.histograms[t];
+  histogram = Loda::Histogram(state.ranges[t], state.bins);
+  for (const auto& vals : state.projected) histogram.Add(vals[t]);
   ++rebuilds_;
 }
 
 void IncrementalLodaScorer::AdvanceState(SubspaceState& state,
                                          const WindowDelta& delta) {
-  const std::size_t num_proj = state.projectors.size();
-
-  // Point entry: one dot product per projector, batch loop order.
   const Matrix& entered = *delta.entered;
   for (std::size_t r = 0; r < entered.rows(); ++r) {
-    std::vector<double> vals(num_proj);
-    for (std::size_t t = 0; t < num_proj; ++t) {
-      const auto& proj = state.projectors[t];
-      double v = 0.0;
-      for (std::size_t j = 0; j < proj.weights.size(); ++j) {
-        v += proj.weights[j] *
-             entered(r, static_cast<std::size_t>(proj.features[j]));
-      }
-      vals[t] = v;
-    }
-    state.projected.push_back(std::move(vals));
+    state.projected.push_back(ProjectRow(
+        state.projectors, [&](FeatureId f) {
+          return entered(r, static_cast<std::size_t>(f));
+        }));
   }
-
-  // Point exit: remember the projected values for histogram decrements.
+  // Exiting rows keep their projected values for the histogram decrements.
   std::vector<std::vector<double>> popped;
   popped.reserve(delta.num_exited);
   for (std::size_t i = 0; i < delta.num_exited; ++i) {
@@ -182,73 +113,42 @@ void IncrementalLodaScorer::AdvanceState(SubspaceState& state,
                   "scorer state diverged from window");
 
   const int old_bins = state.bins;
-  state.bins = BinsFor(options_, static_cast<int>(delta.window_size));
+  state.bins = batch_.NumBins(static_cast<int>(delta.window_size));
+  // When one advance pushes more rows than the window holds, the overflow
+  // rows exited already (they sit at the end of `popped`). The entered rows
+  // still present are the deque's newest `still_present`; the exited rows
+  // that were counted are the first `exited_old` of `popped`.
+  const std::size_t still_present =
+      std::min(entered.rows(), delta.window_size);
+  const std::size_t first_entered = state.projected.size() - still_present;
+  const std::size_t exited_old =
+      delta.num_exited - (entered.rows() - still_present);
 
-  for (std::size_t t = 0; t < num_proj; ++t) {
-    auto& proj = state.projectors[t];
-    const double old_lo = proj.lo;
-    const double old_hi = proj.hi;
-
+  for (std::size_t t = 0; t < state.projectors.size(); ++t) {
+    Loda::Range& range = state.ranges[t];
     // An exiting extreme may shrink the range: rescan. Otherwise the range
     // can only grow, by an entering value.
-    bool extremes_exited = false;
-    for (const auto& vals : popped) {
-      if (vals[t] <= old_lo || vals[t] >= old_hi) {
-        extremes_exited = true;
-        break;
-      }
+    const bool extremes_exited =
+        std::any_of(popped.begin(), popped.end(), [&](const auto& vals) {
+          return vals[t] <= range.lo || vals[t] >= range.hi;
+        });
+    Loda::Range next = extremes_exited ? Loda::Range{} : range;
+    for (std::size_t i = extremes_exited ? 0 : first_entered;
+         i < state.projected.size(); ++i) {
+      next.Fold(state.projected[i][t]);
     }
-    double lo = old_lo;
-    double hi = old_hi;
-    if (extremes_exited) {
-      lo = state.projected.front()[t];
-      hi = lo;
-      for (const auto& vals : state.projected) {
-        lo = std::min(lo, vals[t]);
-        hi = std::max(hi, vals[t]);
-      }
-    } else {
-      // Fold only entered rows that are still present: when one advance
-      // pushes more rows than the window holds, the overflow rows exited
-      // already (they sit in `popped`) and must not widen the range. The
-      // survivors are the deque's newest min(entered, window_size) rows.
-      const std::size_t still_present =
-          std::min(entered.rows(), delta.window_size);
-      const std::size_t deque_size = state.projected.size();
-      for (std::size_t r = 0; r < still_present; ++r) {
-        const double v =
-            state.projected[deque_size - still_present + r][t];
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-    }
-    const bool range_changed = lo != proj.lo || hi != proj.hi;
-    proj.lo = lo;
-    proj.hi = hi;
-
-    if (state.bins != old_bins || range_changed ||
-        static_cast<int>(proj.histogram.size()) != state.bins) {
-      RebuildProjector(state, t);
+    if (state.bins != old_bins || next != range) {
+      range = next;
+      RebuildHistogram(state, t);
       continue;
     }
     // Fast path: range and bin count unchanged, so every existing row keeps
     // its bin — add entering rows, subtract exiting ones.
-    const double width = WidthFor(proj.lo, proj.hi, state.bins);
-    const std::size_t still_present =
-        std::min(entered.rows(), delta.window_size);
-    const std::size_t deque_size = state.projected.size();
-    for (std::size_t r = 0; r < still_present; ++r) {
-      const double v = state.projected[deque_size - still_present + r][t];
-      ++proj.histogram[static_cast<std::size_t>(
-          BinFor(v, proj.lo, width, state.bins))];
+    Loda::Histogram& histogram = state.histograms[t];
+    for (std::size_t i = first_entered; i < state.projected.size(); ++i) {
+      histogram.Add(state.projected[i][t]);
     }
-    const std::size_t exited_old = delta.num_exited -
-                                   (entered.rows() - still_present);
-    for (std::size_t i = 0; i < exited_old; ++i) {
-      const double v = popped[i][t];
-      --proj.histogram[static_cast<std::size_t>(
-          BinFor(v, proj.lo, width, state.bins))];
-    }
+    for (std::size_t i = 0; i < exited_old; ++i) histogram.Remove(popped[i][t]);
   }
 }
 
@@ -265,29 +165,20 @@ std::vector<double> IncrementalLodaScorer::Score(const Dataset& window,
   SUBEX_CHECK_MSG(state.projected.size() == window.num_points(),
                   "scorer state diverged from window");
 
-  const int bins = state.bins;
-  const std::size_t num_proj = state.projectors.size();
-  std::vector<double> widths(num_proj);
-  for (std::size_t t = 0; t < num_proj; ++t) {
-    widths[t] = WidthFor(state.projectors[t].lo, state.projectors[t].hi,
-                         bins);
+  std::vector<std::size_t> finite;
+  for (std::size_t t = 0; t < state.histograms.size(); ++t) {
+    if (state.histograms[t].finite(n)) finite.push_back(t);
   }
-  // Accumulation mirrors the batch path: per point, the per-projector
-  // -log(density) terms are summed in projector order, so the float result
-  // is bitwise `Loda::Score` on a snapshot of this window.
+  // Per point, the projectors' terms are summed in projector order, as
+  // `Loda::Score` sums them, so the result is bitwise the batch one.
   std::vector<double> scores(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    const auto& vals = state.projected[static_cast<std::size_t>(p)];
+  for (std::size_t p = 0; p < scores.size(); ++p) {
+    const std::vector<double>& vals = state.projected[p];
     double sum = 0.0;
-    for (std::size_t t = 0; t < num_proj; ++t) {
-      const auto& proj = state.projectors[t];
-      const int b = BinFor(vals[t], proj.lo, widths[t], bins);
-      const double density =
-          (proj.histogram[static_cast<std::size_t>(b)] + 1.0) /
-          ((n + bins) * widths[t]);
-      sum -= std::log(density);
+    for (std::size_t t : finite) {
+      sum -= state.histograms[t].LogDensity(vals[t], n);
     }
-    scores[static_cast<std::size_t>(p)] = sum / options_.num_projections;
+    scores[p] = sum / batch_.options().num_projections;
   }
   return scores;
 }

@@ -54,23 +54,20 @@ class WindowedScorer {
                                     const Subspace& subspace) = 0;
 };
 
-/// Incrementally maintained LODA (see `Loda` for the batch algorithm).
+/// Incrementally maintained LODA, built on the `Loda` kernel (projector
+/// draw, projection, bin count, range and histogram are `Loda`'s own, so
+/// every score is bitwise `Loda::Score` on a snapshot).
 ///
-/// Per subspace the scorer fixes the batch detector's sparse Gaussian
-/// projectors once (drawn from the identical `Rng` stream, so the
-/// projector set is bitwise the batch one) and then maintains, per
-/// projector, the projected value of every window row plus an equal-width
-/// histogram over them:
+/// Per subspace the scorer draws the batch projectors once and keeps the
+/// projected values of every window row plus, per projector, the range of
+/// those values and a histogram over them:
 ///
-///  * point entry: one O(sqrt(d)) dot product per projector, computed in
-///    the batch loop order (bitwise the value the batch path computes),
-///    then a histogram increment;
-///  * point exit: a histogram decrement using the stored projected value;
-///  * the histogram range [lo, hi] and the bin count (a function of the
-///    window size before saturation) are monitored per advance — when an
-///    extreme value enters or exits, or the bin count changes, that
-///    projector's histogram is rebuilt by one O(n) scan, otherwise the
-///    add/subtract fast path applies.
+///  * point entry: one O(sqrt(d)) projection per projector, then a
+///    histogram add;
+///  * point exit: a histogram subtract using the stored projected value;
+///  * when the range moves (an extreme exits or a new value widens it) or
+///    the bin count (a function of the window size before saturation)
+///    changes, that projector's histogram is rebuilt by one O(n) scan.
 ///
 /// Scoring an epoch then only bins the stored projections and sums log
 /// densities — the per-row dot products, the dominant batch cost, are paid
@@ -97,10 +94,9 @@ class IncrementalLodaScorer final : public WindowedScorer {
   struct SubspaceState;
 
   SubspaceState& StateFor(const Dataset& window, const Subspace& subspace);
-  void RebuildProjector(SubspaceState& state, std::size_t t);
+  void RebuildHistogram(SubspaceState& state, std::size_t t);
   void AdvanceState(SubspaceState& state, const WindowDelta& delta);
 
-  Loda::Options options_;
   Loda batch_;
   std::size_t max_subspace_states_;
   std::vector<std::unique_ptr<SubspaceState>> states_;

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "data/columnar.h"
 #include "data/csv.h"
 #include "data/generators.h"
@@ -17,6 +20,7 @@
 #include "detect/loda.h"
 #include "detect/lof.h"
 #include "mem/eviction_manager.h"
+#include "online/windowed_scorer.h"
 
 namespace subex {
 namespace {
@@ -27,6 +31,12 @@ namespace {
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "subex_chunked_" +
          std::to_string(::getpid()) + "_" + name;
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
 }
 
 /// One fixture dataset on disk + in RAM: a generated mixture with labelled
@@ -53,6 +63,108 @@ class ChunkedScoreTest : public ::testing::Test {
     ChunkedDatasetOptions options;
     options.manager = manager;
     return ChunkedDataset::Open(path_, options);
+  }
+
+  /// One seeded generated stream, scored three ways at every window epoch:
+  /// `Loda::Score` on a snapshot, `ScoreLodaChunked` on that snapshot
+  /// written to `path_` and read under a budget of a few chunks, and
+  /// `IncrementalLodaScorer` folding the advances. The stream mixes
+  /// Gaussian, duplicate-heavy, constant and rare +/-1e308 columns and
+  /// scores random subspaces (and the empty one) with fixed or automatic
+  /// bins; the window grows across changes in the automatic bin count, and
+  /// one advance pushes more rows than the window holds.
+  void ExpectGeneratedStreamAgrees(std::uint64_t seed) {
+    Rng rng(seed);
+    const int num_features = rng.UniformInt(2, 5);
+    std::vector<int> kinds(static_cast<std::size_t>(num_features));
+    for (int& kind : kinds) kind = rng.UniformInt(0, 3);
+    auto next_value = [&rng](int kind) {
+      switch (kind) {
+        case 0:
+          return rng.Gaussian();
+        case 1:
+          return 0.25 * rng.UniformInt(0, 4);
+        case 2:
+          return 0.5;
+        default:
+          return rng.UniformInt(0, 15) == 0
+                     ? (rng.Uniform() < 0.5 ? -1e308 : 1e308)
+                     : rng.Uniform();
+      }
+    };
+    const Loda::Options options{
+        .num_projections = rng.UniformInt(3, 12),
+        .num_bins = rng.Uniform() < 0.5 ? 0 : rng.UniformInt(2, 9),
+        .seed = seed * 7919};
+    std::vector<Subspace> subspaces = {Subspace()};
+    for (int i = 0; i < 2; ++i) {
+      std::vector<FeatureId> features;
+      for (FeatureId f = 0; f < num_features; ++f) {
+        if (rng.Uniform() < 0.5) features.push_back(f);
+      }
+      if (features.empty()) {
+        features.push_back(rng.UniformInt(0, num_features - 1));
+      }
+      subspaces.emplace_back(std::move(features));
+    }
+    const auto capacity = static_cast<std::size_t>(rng.UniformInt(20, 60));
+    const int overflow_epoch = rng.UniformInt(6, 10);
+
+    IncrementalLodaScorer incremental(options);
+    std::deque<std::vector<double>> window;
+    for (int epoch = 1; epoch <= 12; ++epoch) {
+      const std::size_t pushed =
+          epoch == overflow_epoch
+              ? capacity + static_cast<std::size_t>(rng.UniformInt(1, 9))
+              : static_cast<std::size_t>(rng.UniformInt(1, 8));
+      Matrix entered(pushed, static_cast<std::size_t>(num_features));
+      for (std::size_t r = 0; r < pushed; ++r) {
+        std::vector<double> row(static_cast<std::size_t>(num_features));
+        for (std::size_t f = 0; f < row.size(); ++f) {
+          entered(r, f) = row[f] = next_value(kinds[f]);
+        }
+        window.push_back(std::move(row));
+      }
+      const std::size_t exited =
+          window.size() > capacity ? window.size() - capacity : 0;
+      window.erase(window.begin(),
+                   window.begin() + static_cast<std::ptrdiff_t>(exited));
+      incremental.OnAdvance({.epoch = static_cast<std::uint64_t>(epoch),
+                             .window_size = window.size(),
+                             .entered = &entered,
+                             .num_exited = exited});
+      if (window.size() < 3) continue;
+
+      Matrix rows(window.size(), static_cast<std::size_t>(num_features));
+      for (std::size_t r = 0; r < window.size(); ++r) {
+        for (std::size_t f = 0; f < rows.cols(); ++f) {
+          rows(r, f) = window[r][f];
+        }
+      }
+      const Dataset snapshot(std::move(rows));
+      std::string error;
+      ASSERT_TRUE(WriteColumnarDataset(path_, snapshot, 4, &error)) << error;
+      EvictionManager manager(EvictionManager::Options{.budget_bytes = 64});
+      auto open = OpenChunked(&manager);
+      ASSERT_TRUE(open.ok) << open.error;
+      for (const Subspace& subspace : subspaces) {
+        SCOPED_TRACE("epoch " + std::to_string(epoch) + " " +
+                     subspace.ToString());
+        const std::vector<double> in_ram =
+            Loda(options).Score(snapshot, subspace);
+        const std::vector<double> streamed =
+            ScoreLodaChunked(*open.dataset, subspace, options);
+        const std::vector<double> folded =
+            incremental.Score(snapshot, subspace);
+        ASSERT_EQ(streamed.size(), in_ram.size());
+        ASSERT_EQ(folded.size(), in_ram.size());
+        for (std::size_t p = 0; p < in_ram.size(); ++p) {
+          EXPECT_TRUE(std::isfinite(in_ram[p])) << p;
+          EXPECT_EQ(Bits(streamed[p]), Bits(in_ram[p])) << p;
+          EXPECT_EQ(Bits(folded[p]), Bits(in_ram[p])) << p;
+        }
+      }
+    }
   }
 
   Dataset dataset_;
@@ -144,6 +256,14 @@ TEST_F(ChunkedScoreTest, LodaMatchesInRamBitwise) {
   for (std::size_t p = 0; p < in_ram.size(); ++p) {
     EXPECT_EQ(streamed[p], in_ram[p]) << "point " << p;
   }
+
+  // More inputs: seeded generated streams, each also scored by
+  // `IncrementalLodaScorer`; a failure names its seed.
+  path_ = TempPath("generated.cols");
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectGeneratedStreamAgrees(seed);
+  }
 }
 
 TEST_F(ChunkedScoreTest, EmptySubspaceMeansFullSpaceLikeDetectors) {
@@ -191,16 +311,11 @@ TEST_F(ChunkedScoreTest, TinyBudgetForcesEvictionMidScoringYetScoresMatch) {
   }
 }
 
-std::uint64_t Bits(double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
-}
-
-// Rows holding NaN and +/-Inf, in the sweep's sort feature too: with one
-// NeighborLess order (a NaN distance after every number, then by index)
-// the in-RAM sweep and the streaming heap keep the same neighbours, bit
-// for bit, and so do LOF's scores.
+// Rows holding NaN, +/-Inf and +/-1e308, in the sweep's sort feature too:
+// with one NeighborLess order (a NaN distance after every number, then by
+// index) the in-RAM sweep and the streaming heap keep the same neighbours,
+// bit for bit, and so do LOF's scores. LODA's scores stay finite on the
+// same rows and streamed LODA keeps the in-RAM bits.
 TEST_F(ChunkedScoreTest, NonFiniteRowsMatchInRamBitwise) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -215,6 +330,11 @@ TEST_F(ChunkedScoreTest, NonFiniteRowsMatchInRamBitwise) {
   m(202, 2) = inf;
   m(202, 3) = nan;
   for (std::size_t f = 0; f < m.cols(); ++f) m(300, f) = nan;
+  // Finite, but far enough apart that a projection's `hi - lo` overflows.
+  for (std::size_t f : {1, 2, 4}) {
+    m(7 + f, f) = 1e308;
+    m(8 + f, f) = -1e308;
+  }
   dataset_ = Dataset(std::move(m));
   path_ = TempPath("nonfinite.cols");
   std::string error;
@@ -247,6 +367,26 @@ TEST_F(ChunkedScoreTest, NonFiniteRowsMatchInRamBitwise) {
           ScoreLofChunked(*open.dataset, subspace, k);
       ASSERT_EQ(lof_streamed.size(), lof.size());
       for (int p : all) EXPECT_EQ(Bits(lof_streamed[p]), Bits(lof[p])) << p;
+    }
+  }
+
+  for (const Subspace& subspace :
+       {Subspace(), Subspace({0}), Subspace({1}), Subspace({2}),
+        Subspace({4}), Subspace({1, 4}), Subspace({0, 1, 2, 3, 4})}) {
+    for (int num_bins : {0, 7}) {
+      SCOPED_TRACE(subspace.ToString() + " LODA bins=" +
+                   std::to_string(num_bins));
+      const Loda::Options options{
+          .num_projections = 25, .num_bins = num_bins, .seed = 1234};
+      const std::vector<double> in_ram =
+          Loda(options).Score(dataset_, subspace);
+      const std::vector<double> streamed =
+          ScoreLodaChunked(*open.dataset, subspace, options);
+      ASSERT_EQ(streamed.size(), in_ram.size());
+      for (int p : all) {
+        EXPECT_TRUE(std::isfinite(in_ram[p])) << p;
+        EXPECT_EQ(Bits(streamed[p]), Bits(in_ram[p])) << p;
+      }
     }
   }
 }

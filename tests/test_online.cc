@@ -180,6 +180,52 @@ TEST(OnlineDatasetTest, IncrementalLodaBitwiseMatchesBatchRecompute) {
   EXPECT_GE(epochs_checked, 20);
 }
 
+// Rows holding +/-1e308 are finite, so ingest takes them, but a projection
+// over them can overflow `hi - lo`. Across the advances that bring them
+// into the window and push them out again, the incremental scores stay
+// finite and bitwise the batch recompute's.
+TEST(OnlineDatasetTest, IncrementalLodaOverflowingRowsMatchBatchRecompute) {
+  OnlineDatasetOptions options;
+  options.window_capacity = 32;
+  options.advance_every = 8;
+  options.min_score_window = 8;
+  options.drift.min_window = 8;
+  Loda::Options loda_options;
+  loda_options.num_projections = 24;
+  loda_options.seed = 11;
+  OnlineDataset dataset(options, 5);
+  dataset.AddLoda("LODA", loda_options);
+  const Loda batch(loda_options);
+
+  DriftingStreamGenerator stream(SmallStream(23));
+  Matrix all = StreamRows(stream, 12 * options.advance_every);
+  all(10, 1) = 1e308;
+  all(11, 1) = -1e308;
+  all(20, 3) = 1e308;
+  all(20, 4) = -1e308;
+  all(21, 4) = 1e308;
+  all(45, 0) = -1e308;
+  all(46, 0) = 1e308;
+  const std::vector<Subspace> subspaces = {Subspace(), Subspace({1}),
+                                           Subspace({0, 1}), Subspace({3, 4})};
+  for (std::size_t begin = 0; begin < all.rows();
+       begin += options.advance_every) {
+    dataset.Append(SliceRows(all, begin, options.advance_every));
+    const OnlineDataset::EpochSnapshot snapshot = dataset.Snapshot();
+    ASSERT_NE(snapshot.data, nullptr);
+    for (const Subspace& subspace : subspaces) {
+      OnlineDataset::ScoredEpoch scored;
+      ASSERT_EQ(dataset.Score("LODA", subspace, &scored),
+                OnlineDataset::Status::kOk);
+      for (double s : *scored.scores) EXPECT_TRUE(std::isfinite(s));
+      EXPECT_EQ(*scored.scores,
+                ScoreStandardized(batch, *snapshot.data, subspace))
+          << "epoch " << snapshot.epoch << " subspace "
+          << subspace.ToString();
+    }
+  }
+}
+
 TEST(OnlineDatasetTest, IncrementalLodaFastPathDominatesInSteadyState) {
   OnlineDatasetOptions options;
   options.window_capacity = 64;

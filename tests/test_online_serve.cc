@@ -2,6 +2,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
@@ -32,9 +33,7 @@ class OnlineServeTest : public ::testing::Test {
     options.min_score_window = 16;
     options.drift.min_window = 16;
     dataset_ = std::make_unique<OnlineDataset>(options, kFeatures);
-    Loda::Options loda_options;
-    loda_options.num_projections = 16;
-    dataset_->AddLoda("LODA", loda_options);
+    dataset_->AddLoda("LODA", loda_.options());
     dataset_->AddReindexDetector("LOF", lof_);
 
     pool_ = std::make_unique<ThreadPool>(2);
@@ -84,6 +83,7 @@ class OnlineServeTest : public ::testing::Test {
     return config;
   }()};
   std::vector<double> buffered_;
+  Loda loda_{Loda::Options{.num_projections = 16}};
   Lof lof_{5};
   Beam beam_;
   std::unique_ptr<OnlineDataset> dataset_;
@@ -243,6 +243,38 @@ TEST_F(OnlineServeTest, NonFiniteIngestLeavesWindowAndWalUnchanged) {
   EXPECT_EQ(static_cast<std::uint64_t>(wal_file.st_size), after.wal_bytes);
   // The connection stays usable for well-formed ingest.
   EXPECT_TRUE(client.Ingest("stream", 2, NextRows(2)).ok());
+}
+
+// +/-1e308 is finite, so kIngest takes it, and a LODA projection over such
+// rows can overflow `hi - lo`. The advances the ingest triggers score LODA
+// for the drift test; they and a later kOnlineScore stay OK, finite and
+// bitwise the batch recompute on the snapshot.
+TEST_F(OnlineServeTest, OverflowingIngestScoresMatchBatchRecompute) {
+  StartServer();
+  ExplainClient client = MakeClient();
+  std::vector<double> rows = NextRows(32);
+  rows[3 * kFeatures + 1] = 1e308;
+  rows[4 * kFeatures + 1] = -1e308;
+  rows[17 * kFeatures + 2] = -1e308;
+  rows[17 * kFeatures + 4] = 1e308;
+  rows[30 * kFeatures + 4] = -1e308;
+  const ExplainClient::IngestReply ingest = client.Ingest("stream", 32, rows);
+  ASSERT_TRUE(ingest.ok()) << ingest.error;
+  EXPECT_EQ(ingest.result.accepted, 32u);
+  EXPECT_EQ(ingest.result.advances, 2u);
+
+  const OnlineDataset::EpochSnapshot snapshot = dataset_->Snapshot();
+  ASSERT_NE(snapshot.data, nullptr);
+  for (const Subspace& subspace :
+       {Subspace(), Subspace({1}), Subspace({2, 4}), Subspace({0, 1, 4})}) {
+    const ExplainClient::OnlineScoreReply wire =
+        client.OnlineScore("stream", "LODA", subspace);
+    ASSERT_TRUE(wire.ok()) << wire.error;
+    EXPECT_EQ(wire.epoch, snapshot.epoch);
+    for (double s : wire.scores) EXPECT_TRUE(std::isfinite(s));
+    EXPECT_EQ(wire.scores, ScoreStandardized(loda_, *snapshot.data, subspace))
+        << subspace.ToString();
+  }
 }
 
 TEST_F(OnlineServeTest, StatsServesOnlineSection) {
