@@ -79,6 +79,37 @@ TEST(KnnDistanceTest, MissesLocalDensityOutlier) {
   EXPECT_NE(TopKIndices(scores, 1).front(), 120);
 }
 
+// The exact score bits of both aggregations, pinned: the empty subspace,
+// one-feature subspaces (one a constant column on the duplicate-heavy set)
+// and a k beyond n, which clamps to n - 1. Any change to the neighbour
+// lists or to the aggregation's summation order shows up here.
+TEST(KnnDistanceTest, PinnedScoreBits) {
+  using knn_pinned::HashDoubles;
+  const std::vector<Subspace> subspaces = {
+      Subspace(), Subspace({0}), Subspace({1}), Subspace({0, 1, 2}),
+      Subspace({2, 3})};
+  std::vector<std::uint64_t> hashes;
+  for (const Dataset& d :
+       {knn_pinned::Hics(300), knn_pinned::DuplicateHeavy()}) {
+    std::uint64_t hash = knn_pinned::kFnvOffsetBasis;
+    for (auto agg : {KnnDistance::Aggregation::kMax,
+                     KnnDistance::Aggregation::kMean}) {
+      for (int k : {1, 10, 15, 1000}) {
+        const KnnDistance det(k, agg);
+        for (const Subspace& s : subspaces) {
+          hash = HashDoubles(hash, det.Score(d, s));
+        }
+      }
+    }
+    hashes.push_back(hash);
+  }
+  const std::vector<std::uint64_t> pinned = {
+      0xb02a4464e82d998cull,  // HiCS n = 300
+      0xe961d43b4d716e75ull,  // duplicate-heavy
+  };
+  EXPECT_EQ(hashes, pinned);
+}
+
 TEST(ExactAbodTest, OutlierTopRanked) {
   const Dataset d = BlobWithOutlier(80, 3);
   const ExactAbod det;
