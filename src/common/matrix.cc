@@ -53,16 +53,4 @@ Matrix Matrix::SelectRows(std::span<const int> rows) const {
   return out;
 }
 
-double SquaredDistance(const Matrix& m, std::size_t a, std::size_t b,
-                       std::span<const int> features) {
-  const double* ra = m.data() + a * m.cols();
-  const double* rb = m.data() + b * m.cols();
-  double sum = 0.0;
-  for (int f : features) {
-    const double d = ra[f] - rb[f];
-    sum += d * d;
-  }
-  return sum;
-}
-
 }  // namespace subex

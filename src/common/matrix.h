@@ -93,10 +93,20 @@ class Matrix {
 };
 
 /// Squared Euclidean distance between rows `a` and `b` of `m`, restricted to
-/// the feature ids in `features`. This is the innermost loop of every
-/// distance-based detector, hence it lives here and stays branch-free.
-double SquaredDistance(const Matrix& m, std::size_t a, std::size_t b,
-                       std::span<const int> features);
+/// the feature ids in `features`: from 0.0, one `(a - b)^2` per feature, in
+/// `features` order. Every kNN path accumulates distances in this order, so
+/// their lists agree bit for bit.
+inline double SquaredDistance(const Matrix& m, std::size_t a, std::size_t b,
+                              std::span<const int> features) {
+  const double* ra = m.data() + a * m.cols();
+  const double* rb = m.data() + b * m.cols();
+  double sum = 0.0;
+  for (int f : features) {
+    const double d = ra[f] - rb[f];
+    sum += d * d;
+  }
+  return sum;
+}
 
 }  // namespace subex
 

@@ -15,18 +15,6 @@
 namespace subex {
 namespace {
 
-/// Resolves a subspace to an explicit feature list (empty = every feature),
-/// mirroring what every in-RAM detector does.
-std::vector<FeatureId> ResolveFeatures(const ChunkedDataset& data,
-                                       const Subspace& subspace) {
-  if (!subspace.empty()) {
-    return {subspace.AsSpan().begin(), subspace.AsSpan().end()};
-  }
-  std::vector<FeatureId> full(data.num_cols());
-  std::iota(full.begin(), full.end(), 0);
-  return full;
-}
-
 /// Gathers the subspace feature values of `rows` (any order) into a
 /// row-major `rows.size() x features.size()` buffer, pinning each touched
 /// chunk once per (feature, block).
@@ -78,12 +66,12 @@ std::vector<std::vector<Neighbor>> ComputeKnnChunked(
   const std::size_t num_features = features.size();
   const std::vector<double> qvals = GatherRows(data, features, queries);
 
-  // One max-heap of the k best candidates per query (top = worst kept).
-  // `NeighborLess` is a total order on candidates, so the heap keeps the
-  // same k as `ComputeKnn`'s sweep, whatever order the rows stream in.
-  auto heap_cmp = NeighborLess;
-  std::vector<std::vector<Neighbor>> heaps(queries.size());
-  for (auto& h : heaps) h.reserve(k + 1);
+  // One sorted best-k list per query, filled by `InsertCandidate` as the
+  // sweep's are: `NeighborLess` is a total order on candidates, so each
+  // list ends as `ComputeKnn`'s row, whatever order the rows stream in.
+  std::vector<std::vector<Neighbor>> lists(queries.size(),
+                                           std::vector<Neighbor>(k));
+  std::vector<int> counts(queries.size(), 0);
 
   std::vector<Pinned<ColumnChunk>> chunks(num_features);
   for (std::size_t block = 0; block < data.num_blocks(); ++block) {
@@ -105,32 +93,24 @@ std::vector<std::vector<Neighbor>> ComputeKnnChunked(
           const double d = qv[j] - (*chunks[j])[r];
           sum += d * d;
         }
-        std::vector<Neighbor>& heap = heaps[qi];
-        const Neighbor cand{sum, g};
-        if (static_cast<int>(heap.size()) < k) {
-          heap.push_back(cand);
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        } else if (NeighborLess(cand, heap.front())) {
-          std::pop_heap(heap.begin(), heap.end(), heap_cmp);
-          heap.back() = cand;
-          std::push_heap(heap.begin(), heap.end(), heap_cmp);
-        }
+        InsertCandidate({sum, g}, k, lists[qi].data(), counts[qi]);
       }
     }
     for (auto& chunk : chunks) chunk.Release();
   }
 
-  for (auto& heap : heaps) {
-    std::sort(heap.begin(), heap.end(), heap_cmp);
-    for (Neighbor& nb : heap) nb.distance = std::sqrt(nb.distance);
+  for (auto& list : lists) {
+    for (Neighbor& nb : list) nb.distance = std::sqrt(nb.distance);
   }
-  return heaps;
+  return lists;
 }
 
 std::vector<double> ScoreKnnDistanceChunked(
     ChunkedDataset& data, const Subspace& subspace, int k,
     KnnDistance::Aggregation aggregation, std::span<const int> queries) {
-  const std::vector<FeatureId> features = ResolveFeatures(data, subspace);
+  std::vector<FeatureId> full;
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, data.num_cols(), full);
   std::vector<int> all;
   if (queries.empty()) {
     all = AllRows(data);
@@ -141,13 +121,7 @@ std::vector<double> ScoreKnnDistanceChunked(
 
   std::vector<double> scores(queries.size());
   for (std::size_t i = 0; i < scores.size(); ++i) {
-    if (aggregation == KnnDistance::Aggregation::kMax) {
-      scores[i] = knn[i].back().distance;
-    } else {
-      double sum = 0.0;
-      for (const Neighbor& nb : knn[i]) sum += nb.distance;
-      scores[i] = sum / static_cast<double>(knn[i].size());
-    }
+    scores[i] = KnnDistance::Aggregate(knn[i], aggregation);
   }
   return scores;
 }
@@ -155,7 +129,9 @@ std::vector<double> ScoreKnnDistanceChunked(
 std::vector<double> ScoreLofChunked(ChunkedDataset& data,
                                     const Subspace& subspace, int k,
                                     std::span<const int> queries) {
-  const std::vector<FeatureId> features = ResolveFeatures(data, subspace);
+  std::vector<FeatureId> full;
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, data.num_cols(), full);
   std::vector<int> all;
   if (queries.empty()) {
     all = AllRows(data);
@@ -185,33 +161,25 @@ std::vector<double> ScoreLofChunked(ChunkedDataset& data,
     std::sort(frontier.begin(), frontier.end());
   }
 
-  // Same formulas, constants and iteration order as `Lof::Score`.
-  auto k_distance = [&lists](int p) -> double {
+  // `Lof::Score`'s formulas, over the closure's lists, lrd memoized.
+  auto row = [&lists](int p) -> std::span<const Neighbor> {
     const auto it = lists.find(p);
     SUBEX_CHECK_MSG(it != lists.end(), "kNN list missing for point");
-    return it->second.back().distance;
+    return it->second;
   };
   std::unordered_map<int, double> lrd;
   auto lrd_of = [&](int p) -> double {
     const auto cached = lrd.find(p);
     if (cached != lrd.end()) return cached->second;
-    const std::vector<Neighbor>& nbs = lists.at(p);
-    double sum = 0.0;
-    for (const Neighbor& nb : nbs) {
-      sum += std::max(k_distance(nb.index), nb.distance);
-    }
-    const double mean = sum / static_cast<double>(nbs.size());
-    const double value = 1.0 / std::max(mean, kLofEpsilon);
+    const double value =
+        LofLrd(row(p), [&row](int o) { return row(o).back().distance; });
     lrd.emplace(p, value);
     return value;
   };
 
   std::vector<double> scores(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    const std::vector<Neighbor>& nbs = lists.at(queries[i]);
-    double sum = 0.0;
-    for (const Neighbor& nb : nbs) sum += lrd_of(nb.index);
-    scores[i] = sum / (static_cast<double>(nbs.size()) * lrd_of(queries[i]));
+    scores[i] = LofRatio(queries[i], row(queries[i]), lrd_of);
   }
   return scores;
 }

@@ -14,10 +14,12 @@ namespace subex {
 
 /// Streaming counterparts of the in-RAM detectors, reading a
 /// `ChunkedDataset` chunk by chunk so datasets far larger than RAM score
-/// under a fixed memory budget. Each scorer reproduces its in-RAM
-/// detector's floating-point semantics exactly — same accumulation order,
-/// same tie-breaks, same RNG draws — so streamed scores are bitwise equal
-/// to `Detector::Score` on the same data, which the tests assert.
+/// under a fixed memory budget. The scorers only drive the in-RAM
+/// detectors' own code — `ResolveFeatures`, `InsertCandidate`,
+/// `KnnDistance::Aggregate`, `LofLrd` / `LofRatio` and the `Loda` kernel —
+/// and accumulate distances in `SquaredDistance`'s order, so streamed
+/// scores are bitwise equal to `Detector::Score` on the same data, which
+/// the tests assert.
 ///
 /// The distance-based scorers take an explicit query set because scoring
 /// all points is O(n^2): at the scale that motivates chunking, callers
@@ -30,8 +32,9 @@ namespace subex {
 /// computes, for every row of `queries`, the same k-nearest list
 /// `ComputeKnn` produces (sqrt'ed distances, `NeighborLess` order, k
 /// clamped to n-1), in query order. It streams rows in storage order, so
-/// it cannot sort them like `ComputeKnn` does and keeps a bounded heap per
-/// query instead. Memory: |features| pinned chunks + O(|queries| * k).
+/// it cannot sort them like `ComputeKnn` does; each query's sorted best-k
+/// list takes every row through `InsertCandidate`, as the sweep's do.
+/// Memory: |features| pinned chunks + O(|queries| * k).
 std::vector<std::vector<Neighbor>> ComputeKnnChunked(
     ChunkedDataset& data, std::span<const FeatureId> features, int k,
     std::span<const int> queries);

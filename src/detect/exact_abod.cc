@@ -1,7 +1,6 @@
 #include "detect/exact_abod.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/matrix.h"
@@ -14,12 +13,8 @@ std::vector<double> ExactAbod::Score(const Dataset& data,
   SUBEX_CHECK(n >= 3);
 
   std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, data.num_features(), full);
   const std::size_t dim = features.size();
   const Matrix& m = data.matrix();
   constexpr double kMinSqNorm = 1e-18;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 #include "detect/knn.h"
@@ -17,12 +16,8 @@ std::vector<double> FastAbod::Score(const Dataset& data,
   const KnnTable knn = ComputeKnn(data, subspace, k_);
 
   std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, data.num_features(), full);
   const std::size_t dim = features.size();
   const Matrix& m = data.matrix();
 

@@ -5,7 +5,6 @@
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
-#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -121,12 +120,8 @@ std::vector<double> ScoreForest(const IsolationForest::Options& options,
   SUBEX_CHECK(n >= 2);
 
   std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, data.num_features(), full);
 
   const int psi = std::min(options.subsample_size, n);
   const int height_limit =

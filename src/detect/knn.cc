@@ -6,7 +6,6 @@
 #include <immintrin.h>
 #endif
 #include <limits>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/matrix.h"
@@ -16,24 +15,6 @@
 
 namespace subex {
 namespace {
-
-// Inserts `cand` into the sorted best-k list `best[0, count)` if it ranks
-// among the k best under NeighborLess, growing `count` up to k.
-inline void InsertCandidate(const Neighbor& cand, int k, Neighbor* best,
-                            int& count) {
-  int i = count;
-  if (count < k) {
-    ++count;
-  } else if (NeighborLess(cand, best[k - 1])) {
-    i = k - 1;
-  } else {
-    return;
-  }
-  for (; i > 0 && NeighborLess(cand, best[i - 1]); --i) {
-    best[i] = best[i - 1];
-  }
-  best[i] = cand;
-}
 
 /// Fills every row of the n x k table `out`. `axis[r]` is the (first-
 /// feature value, point id) at sweep position r, ascending; `packed` holds
@@ -255,14 +236,9 @@ KnnTable SweepKnnOn(const Dataset& data, const Subspace& subspace, int k,
   SUBEX_CHECK(k >= 1);
   k = std::min(k, n - 1);
 
-  // Resolve the feature list once; empty subspace means every feature.
   std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, data.num_features(), full);
   SUBEX_CHECK_MSG(!features.empty(), "kNN needs at least one feature");
   const std::size_t dim = features.size();
   const Matrix& m = data.matrix();

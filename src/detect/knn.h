@@ -30,6 +30,26 @@ inline bool NeighborLess(const Neighbor& a, const Neighbor& b) {
   return a.index < b.index;
 }
 
+/// Inserts `cand` into the sorted best-k list `best[0, count)` if it ranks
+/// among the k best under NeighborLess, growing `count` up to k. On
+/// candidates with distinct indices the list ends as the k smallest in
+/// order, whatever order they arrive in.
+inline void InsertCandidate(const Neighbor& cand, int k, Neighbor* best,
+                            int& count) {
+  int i = count;
+  if (count < k) {
+    ++count;
+  } else if (NeighborLess(cand, best[k - 1])) {
+    i = k - 1;
+  } else {
+    return;
+  }
+  for (; i > 0 && NeighborLess(cand, best[i - 1]); --i) {
+    best[i] = best[i - 1];
+  }
+  best[i] = cand;
+}
+
 /// k-nearest-neighbor lists for every point of a dataset within one
 /// subspace, in one flat n x k array. `row(p)` holds p's k neighbors sorted
 /// by `NeighborLess`, excluding `p` itself.

@@ -1,7 +1,6 @@
 #include "detect/knn_distance.h"
 
 #include "common/check.h"
-#include "detect/knn.h"
 
 namespace subex {
 
@@ -10,20 +9,20 @@ KnnDistance::KnnDistance(int k, Aggregation aggregation)
   SUBEX_CHECK(k >= 1);
 }
 
+double KnnDistance::Aggregate(std::span<const Neighbor> row,
+                              Aggregation aggregation) {
+  if (aggregation == Aggregation::kMax) return row.back().distance;
+  double sum = 0.0;
+  for (const Neighbor& nb : row) sum += nb.distance;
+  return sum / static_cast<double>(row.size());
+}
+
 std::vector<double> KnnDistance::Score(const Dataset& data,
                                        const Subspace& subspace) const {
   const KnnTable knn = ComputeKnn(data, subspace, k_);
   std::vector<double> scores(data.num_points());
   for (std::size_t p = 0; p < scores.size(); ++p) {
-    if (aggregation_ == Aggregation::kMax) {
-      scores[p] = knn.KDistance(static_cast<int>(p));
-    } else {
-      double sum = 0.0;
-      for (const Neighbor& nb : knn.row(static_cast<int>(p))) {
-        sum += nb.distance;
-      }
-      scores[p] = sum / static_cast<double>(knn.k);
-    }
+    scores[p] = Aggregate(knn.row(static_cast<int>(p)), aggregation_);
   }
   return scores;
 }

@@ -1,7 +1,10 @@
 #ifndef SUBEX_DETECT_KNN_DISTANCE_H_
 #define SUBEX_DETECT_KNN_DISTANCE_H_
 
+#include <span>
+
 #include "detect/detector.h"
+#include "detect/knn.h"
 
 namespace subex {
 
@@ -25,6 +28,12 @@ class KnnDistance final : public Detector {
   std::string name() const override { return "kNNDist"; }
   std::vector<double> Score(const Dataset& data,
                             const Subspace& subspace) const override;
+
+  /// The score of one point from its k nearest neighbours, sorted by
+  /// `NeighborLess`: the last distance (`kMax`) or the mean summed in row
+  /// order (`kMean`). Shared with the chunked `ScoreKnnDistanceChunked`.
+  static double Aggregate(std::span<const Neighbor> row,
+                          Aggregation aggregation);
 
   int k() const { return k_; }
 

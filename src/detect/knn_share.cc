@@ -7,7 +7,6 @@
 #include <list>
 #include <map>
 #include <mutex>
-#include <numeric>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -62,37 +61,26 @@ KnnRows Compact(const KnnTable& table, int n) {
 }
 
 /// The first `k` entries of every row of `ids` (`row_k` per row), with the
-/// distances recomputed exactly as `SweepKnn` accumulates them: from 0.0,
-/// one squared difference (query minus neighbour) per feature in subspace
-/// order, then `sqrt`. So the result is bitwise `SweepKnn(data, _, k)`.
+/// distances recomputed by `SquaredDistance` (query minus neighbour), which
+/// is how `SweepKnn` accumulates them, then `sqrt`. So the result is
+/// bitwise `SweepKnn(data, _, k)`.
 template <typename Index>
 KnnTable Rebuild(const std::vector<Index>& ids, int row_k, int k,
                  const Dataset& data, const Subspace& subspace) {
   std::vector<FeatureId> full;
-  std::span<const FeatureId> features = subspace.AsSpan();
-  if (subspace.empty()) {
-    full.resize(data.num_features());
-    std::iota(full.begin(), full.end(), 0);
-    features = full;
-  }
-  const std::size_t dim = features.size();
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, data.num_features(), full);
   const Matrix& m = data.matrix();
   const int n = static_cast<int>(data.num_points());
   KnnTable table;
   table.k = k;
   table.entries.resize(static_cast<std::size_t>(n) * k);
   for (int p = 0; p < n; ++p) {
-    const double* rp = m.data() + static_cast<std::size_t>(p) * m.cols();
     const Index* row = ids.data() + static_cast<std::size_t>(p) * row_k;
     Neighbor* out = table.entries.data() + static_cast<std::size_t>(p) * k;
     for (int i = 0; i < k; ++i) {
-      const double* rq = m.data() + static_cast<std::size_t>(row[i]) * m.cols();
-      double sum = 0.0;
-      for (std::size_t j = 0; j < dim; ++j) {
-        const double d = rp[features[j]] - rq[features[j]];
-        sum += d * d;
-      }
-      out[i] = {std::sqrt(sum), static_cast<int>(row[i])};
+      out[i] = {std::sqrt(SquaredDistance(m, p, row[i], features)),
+                static_cast<int>(row[i])};
     }
   }
   return table;

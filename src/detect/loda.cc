@@ -1,7 +1,6 @@
 #include "detect/loda.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -22,12 +21,9 @@ Loda::Loda(const Options& options) : options_(options) {
 
 std::vector<Loda::Projector> Loda::DrawProjectors(
     const Subspace& subspace, std::size_t num_features) const {
-  std::vector<FeatureId> features(subspace.AsSpan().begin(),
-                                  subspace.AsSpan().end());
-  if (subspace.empty()) {
-    features.resize(num_features);
-    std::iota(features.begin(), features.end(), 0);
-  }
+  std::vector<FeatureId> full;
+  const std::span<const FeatureId> features =
+      ResolveFeatures(subspace, num_features, full);
   const int dim = static_cast<int>(features.size());
   const int sparse_count =
       std::max(1, static_cast<int>(std::lround(std::sqrt(dim))));

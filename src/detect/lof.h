@@ -1,15 +1,43 @@
 #ifndef SUBEX_DETECT_LOF_H_
 #define SUBEX_DETECT_LOF_H_
 
+#include <algorithm>
+#include <span>
+
 #include "detect/detector.h"
+#include "detect/knn.h"
 
 namespace subex {
 
 /// Floor of LOF's mean reachability distance. Duplicate-heavy data can make
-/// the mean zero; the floor keeps lrd finite and preserves ordering. Shared
-/// by `Lof::Score` and the chunked `ScoreLofChunked`, which must match it
-/// bit for bit.
+/// the mean zero; the floor keeps lrd finite and preserves ordering.
 inline constexpr double kLofEpsilon = 1e-10;
+
+/// LOF's two formulas, written once for `Lof::Score` (over its all-points
+/// `KnnTable`) and `ScoreLofChunked` (over the neighbourhood closure of its
+/// queries). `row` is a point's k nearest neighbours, sorted by
+/// `NeighborLess`; each sum runs in row order.
+///
+/// Local reachability density of the row's point:
+///   lrd_k(p) = 1 / max(mean_{o in kNN(p)} max(k-dist(o), d(p, o)), eps).
+/// `k_distance(o)` is the distance from `o` to its k-th nearest neighbour.
+template <class KDistance>
+double LofLrd(std::span<const Neighbor> row, KDistance&& k_distance) {
+  double sum = 0.0;
+  for (const Neighbor& nb : row) {
+    sum += std::max(k_distance(nb.index), nb.distance);
+  }
+  return 1.0 / std::max(sum / static_cast<double>(row.size()), kLofEpsilon);
+}
+
+/// LOF_k(p) = mean_{o in kNN(p)} lrd(o) / lrd(p), for the point `p` whose
+/// neighbours are `row`. `lrd(o)` is `LofLrd` of point `o`.
+template <class Lrd>
+double LofRatio(int p, std::span<const Neighbor> row, Lrd&& lrd) {
+  double sum = 0.0;
+  for (const Neighbor& nb : row) sum += lrd(nb.index);
+  return sum / (static_cast<double>(row.size()) * lrd(p));
+}
 
 /// Local Outlier Factor [Breunig et al., SIGMOD 2000].
 ///

@@ -1,6 +1,7 @@
 #include "subspace/subspace.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 
@@ -49,6 +50,15 @@ std::string Subspace::ToString() const {
   }
   out += "}";
   return out;
+}
+
+std::span<const FeatureId> ResolveFeatures(const Subspace& subspace,
+                                           std::size_t num_features,
+                                           std::vector<FeatureId>& scratch) {
+  if (!subspace.empty()) return subspace.AsSpan();
+  scratch.resize(num_features);
+  std::iota(scratch.begin(), scratch.end(), 0);
+  return scratch;
 }
 
 std::size_t SubspaceHash::operator()(const Subspace& s) const {

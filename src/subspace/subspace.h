@@ -66,6 +66,15 @@ class Subspace {
   std::vector<FeatureId> features_;
 };
 
+/// The features a detector scores `subspace` on: its own, or every feature
+/// of a `num_features`-wide dataset when it is empty (the full space). The
+/// span views `subspace` itself when it is non-empty, so that case
+/// allocates nothing; otherwise it views `scratch`, filled with
+/// 0 .. num_features - 1.
+std::span<const FeatureId> ResolveFeatures(const Subspace& subspace,
+                                           std::size_t num_features,
+                                           std::vector<FeatureId>& scratch);
+
 /// Hash functor so subspaces can key `std::unordered_{set,map}`.
 struct SubspaceHash {
   std::size_t operator()(const Subspace& s) const;
