@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/check.h"
 
@@ -65,13 +66,25 @@ double Median(std::span<const double> values) {
 }
 
 std::vector<double> Standardize(std::span<const double> values) {
+  const auto finite = [](double v) { return std::isfinite(v); };
+  // The mean and sd come from `Mean` and `PopulationVariance` over the
+  // finite scores, so an all-finite vector keeps its bits.
+  std::vector<double> finite_values;
+  std::span<const double> basis = values;
+  if (!std::all_of(values.begin(), values.end(), finite)) {
+    std::copy_if(values.begin(), values.end(),
+                 std::back_inserter(finite_values), finite);
+    basis = finite_values;
+  }
+  const double mean = Mean(basis);
+  const double sd = std::sqrt(PopulationVariance(basis));
   std::vector<double> out(values.size(), 0.0);
-  if (values.empty()) return out;
-  const double mean = Mean(values);
-  const double sd = std::sqrt(PopulationVariance(values));
-  if (sd < 1e-12) return out;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = (values[i] - mean) / sd;
+    if (sd >= 1e-12) {
+      out[i] = (values[i] - mean) / sd;
+    } else if (!finite(values[i])) {
+      out[i] = values[i];
+    }
   }
   return out;
 }

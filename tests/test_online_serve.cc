@@ -248,7 +248,10 @@ TEST_F(OnlineServeTest, NonFiniteIngestLeavesWindowAndWalUnchanged) {
 // +/-1e308 is finite, so kIngest takes it, and a LODA projection over such
 // rows can overflow `hi - lo`. The advances the ingest triggers score LODA
 // for the drift test; they and a later kOnlineScore stay OK, finite and
-// bitwise the batch recompute on the snapshot.
+// bitwise the batch recompute on the snapshot. The LOF re-index detector's
+// squared distances to those rows overflow, so their raw LOF is +Inf: its
+// standardized scores keep that +Inf, hold no NaN and match the batch
+// recompute too.
 TEST_F(OnlineServeTest, OverflowingIngestScoresMatchBatchRecompute) {
   StartServer();
   ExplainClient client = MakeClient();
@@ -265,6 +268,7 @@ TEST_F(OnlineServeTest, OverflowingIngestScoresMatchBatchRecompute) {
 
   const OnlineDataset::EpochSnapshot snapshot = dataset_->Snapshot();
   ASSERT_NE(snapshot.data, nullptr);
+  int lof_infinite = 0;
   for (const Subspace& subspace :
        {Subspace(), Subspace({1}), Subspace({2, 4}), Subspace({0, 1, 4})}) {
     const ExplainClient::OnlineScoreReply wire =
@@ -274,7 +278,19 @@ TEST_F(OnlineServeTest, OverflowingIngestScoresMatchBatchRecompute) {
     for (double s : wire.scores) EXPECT_TRUE(std::isfinite(s));
     EXPECT_EQ(wire.scores, ScoreStandardized(loda_, *snapshot.data, subspace))
         << subspace.ToString();
+
+    const ExplainClient::OnlineScoreReply lof =
+        client.OnlineScore("stream", "LOF", subspace);
+    ASSERT_TRUE(lof.ok()) << lof.error;
+    EXPECT_EQ(lof.epoch, snapshot.epoch);
+    for (double s : lof.scores) {
+      EXPECT_FALSE(std::isnan(s)) << subspace.ToString();
+      lof_infinite += std::isinf(s) ? 1 : 0;
+    }
+    EXPECT_EQ(lof.scores, ScoreStandardized(lof_, *snapshot.data, subspace))
+        << subspace.ToString();
   }
+  EXPECT_GT(lof_infinite, 0);
 }
 
 TEST_F(OnlineServeTest, StatsServesOnlineSection) {
