@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -24,14 +25,6 @@
 
 namespace subex {
 namespace {
-
-// Per-process unique paths: ctest runs tests of this suite in parallel
-// *processes*, and two of them rewriting one file under an active mmap is
-// a SIGBUS.
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "subex_chunked_" +
-         std::to_string(::getpid()) + "_" + name;
-}
 
 std::uint64_t Bits(double value) {
   std::uint64_t bits = 0;
@@ -56,6 +49,19 @@ class ChunkedScoreTest : public ::testing::Test {
     ASSERT_TRUE(WriteColumnarDataset(path_, dataset_, /*rows_per_chunk=*/64,
                                      &error))
         << error;
+  }
+
+  void TearDown() override {
+    for (const std::string& path : written_) std::remove(path.c_str());
+  }
+
+  /// A per-process unique path for a file the test writes, removed in
+  /// `TearDown`: ctest runs tests of this suite in parallel *processes*,
+  /// and two of them rewriting one file under an active mmap is a SIGBUS.
+  std::string TempPath(const std::string& name) {
+    written_.push_back(::testing::TempDir() + "subex_chunked_" +
+                       std::to_string(::getpid()) + "_" + name);
+    return written_.back();
   }
 
   /// Opens the columnar file under a fresh manager with `budget_bytes`.
@@ -169,6 +175,7 @@ class ChunkedScoreTest : public ::testing::Test {
 
   Dataset dataset_;
   std::string path_;
+  std::vector<std::string> written_;
 };
 
 TEST_F(ChunkedScoreTest, KnnDistanceMatchesInRamBitwise) {
