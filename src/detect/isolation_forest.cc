@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -17,10 +18,11 @@ namespace {
 // Per-call scratch for growing isolation trees one at a time: the
 // subspace's columns gathered column-major, the subsample's membership mask,
 // one index buffer holding the subsample in [0, psi) and the rows outside
-// it in [psi, n), both partitioned in place down the tree, and the sample
-// values of the node's current column. Holds no state shared between
-// calls, so concurrent Score calls stay independent. `Ops` is
-// `ScalarIForestOps` or `Avx512IForestOps` (simd.h).
+// it in [psi, n), both partitioned in place down the tree, the sample
+// values of the node's current column, and each index position's leaf path
+// length. Holds no state shared between calls, so concurrent Score calls
+// stay independent. `Ops` is `ScalarIForestOps` or `Avx512IForestOps`
+// (simd.h).
 template <class Ops>
 class TreeKernel {
  public:
@@ -35,6 +37,7 @@ class TreeKernel {
         index_(n_),
         scratch_(n_),
         values_(psi),
+        leaf_path_(n_),
         leaf_c_(psi + 1) {
     for (int p = 0; p < n_; ++p) {
       for (std::size_t j = 0; j < num_columns_; ++j) {
@@ -49,16 +52,15 @@ class TreeKernel {
   /// Grows one tree over a fresh psi-row subsample drawn from `rng` and adds
   /// every point's path length to `path_sum`. Each node sends the rows
   /// outside the subsample down the split it chose for the subsample, so
-  /// every point reaches the leaf its walk of the finished tree would reach
-  /// and is credited there with that leaf's `depth + c(size)`.
+  /// every point reaches the leaf its walk of the finished tree would reach.
+  /// Each leaf stores its `depth + c(size)` at its rows' index positions,
+  /// and one pass then adds those to `path_sum`: one addition per point per
+  /// tree, in tree order, as a per-leaf credit would make.
   void AddPathLengths(Rng& rng, double* path_sum) {
     rng.SampleMask(psi_, taken_);
-    int next_sampled = 0;
-    int next_rest = psi_;
-    for (int p = 0; p < n_; ++p) {
-      index_[taken_[p] ? next_sampled++ : next_rest++] = p;
-    }
-    Build(0, psi_, psi_, n_, 0, rng, path_sum);
+    Ops::Split(taken_.data(), n_, index_.data(), index_.data() + psi_);
+    Build(0, psi_, psi_, n_, 0, rng);
+    Ops::Credit(index_.data(), n_, leaf_path_.data(), path_sum);
   }
 
  private:
@@ -66,7 +68,7 @@ class TreeKernel {
   // `height`, splitting until isolation or the height limit, and carries the
   // other rows' index_[rest_begin, rest_end) down the same splits.
   void Build(int begin, int end, int rest_begin, int rest_end, int height,
-             Rng& rng, double* path_sum) {
+             Rng& rng) {
     int* sample = index_.data() + begin;
     int* rest = index_.data() + rest_begin;
     if (height < height_limit_ && end - begin > 1) {
@@ -90,14 +92,14 @@ class TreeKernel {
         const int rest_mid =
             rest_begin + Ops::PartitionGather(rest, rest_end - rest_begin,
                                               column, split, scratch_.data());
-        Build(begin, mid, rest_begin, rest_mid, height + 1, rng, path_sum);
-        Build(mid, end, rest_mid, rest_end, height + 1, rng, path_sum);
+        Build(begin, mid, rest_begin, rest_mid, height + 1, rng);
+        Build(mid, end, rest_mid, rest_end, height + 1, rng);
         return;
       }
     }
     const double path = static_cast<double>(height) + leaf_c_[end - begin];
-    Ops::Credit(sample, end - begin, path, path_sum);
-    Ops::Credit(rest, rest_end - rest_begin, path, path_sum);
+    Ops::Fill(leaf_path_.data() + begin, end - begin, path);
+    Ops::Fill(leaf_path_.data() + rest_begin, rest_end - rest_begin, path);
   }
 
   int n_;
@@ -109,6 +111,7 @@ class TreeKernel {
   std::vector<int> index_;
   std::vector<int> scratch_;
   std::vector<double> values_;  // The node's sample values, in index order.
+  std::vector<double> leaf_path_;  // Per index position, its leaf's path.
   std::vector<double> leaf_c_;  // c(size) for size in [0, psi].
 };
 
@@ -202,6 +205,20 @@ double IsolationForest::AveragePathLength(int n) {
   return 2.0 * h - 2.0 * static_cast<double>(n - 1) / static_cast<double>(n);
 }
 
+int ScalarIForestOps::Split(const unsigned char* taken, int n, int* front,
+                            int* back) {
+  int num_front = 0;
+  int num_back = 0;
+  for (int p = 0; p < n; ++p) {
+    // Branch-free: pick the slot, then advance its side.
+    const bool in = taken[p] != 0;
+    *(in ? front + num_front : back + num_back) = p;
+    num_front += in;
+    num_back += !in;
+  }
+  return num_front;
+}
+
 std::pair<double, double> ScalarIForestOps::ScanRange(const double* column,
                                                      const int* rows,
                                                      int count,
@@ -225,9 +242,13 @@ int ScalarIForestOps::PartitionGather(int* rows, int count,
       scratch);
 }
 
-void ScalarIForestOps::Credit(const int* rows, int count, double path,
-                              double* path_sum) {
-  for (int i = 0; i < count; ++i) path_sum[rows[i]] += path;
+void ScalarIForestOps::Fill(double* paths, int count, double path) {
+  std::fill_n(paths, count, path);
+}
+
+void ScalarIForestOps::Credit(const int* rows, int count,
+                              const double* paths, double* path_sum) {
+  for (int i = 0; i < count; ++i) path_sum[rows[i]] += paths[i];
 }
 
 #if SUBEX_HAVE_AVX512_KERNELS
@@ -257,26 +278,51 @@ SUBEX_AVX512_TARGET inline double ReduceLanes(__m512d v) {
   return _mm512_cvtsd_f64(v);
 }
 
-// Stable partition of rows[0, count) by value < split, where the values
-// are `source[i]` or, with `gather`, `source[rows[i]]`: per 8 rows, the rows
-// below `split` are compressed (in lane order) onto the front and the rest
-// onto `scratch`, which a masked copy moves behind the front at the end.
+// Which lanes `m` of the rows `idx`, loaded from positions [i, i + 8), have
+// a value below `split`: lane l's value is `source[i + l]` or, with
+// `gather`, `source[idx[l]]`.
+SUBEX_AVX512_TARGET inline __mmask8 BelowLanes(__m256i idx, int i,
+                                               __mmask8 m,
+                                               const double* source,
+                                               bool gather, __m512d split) {
+  const __m512d v =
+      gather ? _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx, source,
+                                        8)
+             : _mm512_maskz_loadu_pd(m, source + i);
+  return _mm512_mask_cmp_pd_mask(m, v, split, _CMP_LT_OQ);
+}
+
+// Stable partition of rows[0, count) by value < split (see BelowLanes). A
+// node of at most 8 rows is one register: its below lanes are compressed
+// onto the front and its other lanes expanded behind them, in one store.
+// Otherwise, per 8 rows, the rows below `split` are compressed (in lane
+// order) onto the front and the rest onto `scratch`, which a masked copy
+// moves behind the front at the end.
 SUBEX_AVX512_TARGET inline int PartitionLanes(int* rows, int count,
                                               const double* source,
                                               bool gather, double split,
                                               int* scratch) {
   const __m512d split_v = _mm512_set1_pd(split);
+  if (count <= 8) {
+    const __mmask8 m = FirstLanes(count);
+    const __m256i idx = _mm256_maskz_loadu_epi32(m, rows);
+    const __mmask8 below = BelowLanes(idx, 0, m, source, gather, split_v);
+    const __mmask8 above = m & static_cast<__mmask8>(~below);
+    const int num_below = __builtin_popcount(below);
+    const __m256i front = _mm256_maskz_compress_epi32(below, idx);
+    _mm256_mask_storeu_epi32(
+        rows, m,
+        _mm256_mask_expand_epi32(
+            front, m & static_cast<__mmask8>(~FirstLanes(num_below)),
+            _mm256_maskz_compress_epi32(above, idx)));
+    return num_below;
+  }
   int mid = 0;
   int num_right = 0;
   for (int i = 0; i < count; i += 8) {
     const __mmask8 m = FirstLanes(std::min(count - i, 8));
     const __m256i idx = _mm256_maskz_loadu_epi32(m, rows + i);
-    const __m512d v =
-        gather ? _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx,
-                                          source, 8)
-               : _mm512_maskz_loadu_pd(m, source + i);
-    const __mmask8 below =
-        _mm512_mask_cmp_pd_mask(m, v, split_v, _CMP_LT_OQ);
+    const __mmask8 below = BelowLanes(idx, i, m, source, gather, split_v);
     const __mmask8 above = m & static_cast<__mmask8>(~below);
     const int num_below = __builtin_popcount(below);
     const int num_above = __builtin_popcount(above);
@@ -297,6 +343,47 @@ SUBEX_AVX512_TARGET inline int PartitionLanes(int* rows, int count,
 }
 
 }  // namespace
+
+SUBEX_AVX512_TARGET int Avx512IForestOps::Split(const unsigned char* taken,
+                                                int n, int* front,
+                                                int* back) {
+  // Per 16 mask bytes, widened to 32-bit lanes (AVX-512F has no masked byte
+  // load, so a short tail is copied into a zeroed block first), the taken
+  // rows' ids are compressed onto `front` and the others onto `back`. The
+  // widening is the maskz form for the reason LaneStep gives.
+  const __m512i step = _mm512_set1_epi32(16);
+  __m512i ids = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                  13, 14, 15);
+  alignas(16) unsigned char tail[16] = {};
+  int num_front = 0;
+  int num_back = 0;
+  for (int p = 0; p < n; p += 16) {
+    const int count = std::min(n - p, 16);
+    const unsigned char* block = taken + p;
+    if (count < 16) {
+      std::memcpy(tail, block, count);
+      block = tail;
+    }
+    const __m128i bytes =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(block));
+    const __mmask16 valid = static_cast<__mmask16>((1u << count) - 1u);
+    const __m512i flags = _mm512_maskz_cvtepu8_epi32(0xffff, bytes);
+    const __mmask16 in = _mm512_test_epi32_mask(flags, flags);
+    const __mmask16 out = valid & static_cast<__mmask16>(~in);
+    const int num_in = __builtin_popcount(in);
+    const int num_out = __builtin_popcount(out);
+    _mm512_mask_storeu_epi32(front + num_front,
+                             static_cast<__mmask16>((1u << num_in) - 1u),
+                             _mm512_maskz_compress_epi32(in, ids));
+    _mm512_mask_storeu_epi32(back + num_back,
+                             static_cast<__mmask16>((1u << num_out) - 1u),
+                             _mm512_maskz_compress_epi32(out, ids));
+    num_front += num_in;
+    num_back += num_out;
+    ids = _mm512_add_epi32(ids, step);
+  }
+  return num_front;
+}
 
 SUBEX_AVX512_TARGET std::pair<double, double> Avx512IForestOps::ScanRange(
     const double* column, const int* rows, int count, double* values) {
@@ -336,17 +423,25 @@ SUBEX_AVX512_TARGET int Avx512IForestOps::PartitionGather(
   return PartitionLanes(rows, count, column, true, split, scratch);
 }
 
-SUBEX_AVX512_TARGET void Avx512IForestOps::Credit(const int* rows, int count,
-                                                  double path,
-                                                  double* path_sum) {
+SUBEX_AVX512_TARGET void Avx512IForestOps::Fill(double* paths, int count,
+                                                double path) {
   const __m512d path_v = _mm512_set1_pd(path);
+  for (int i = 0; i < count; i += 8) {
+    _mm512_mask_storeu_pd(paths + i, FirstLanes(std::min(count - i, 8)),
+                          path_v);
+  }
+}
+
+SUBEX_AVX512_TARGET void Avx512IForestOps::Credit(const int* rows, int count,
+                                                  const double* paths,
+                                                  double* path_sum) {
   for (int i = 0; i < count; i += 8) {
     const __mmask8 m = FirstLanes(std::min(count - i, 8));
     const __m256i idx = _mm256_maskz_loadu_epi32(m, rows + i);
     const __m512d sum =
         _mm512_mask_i32gather_pd(_mm512_setzero_pd(), m, idx, path_sum, 8);
-    _mm512_mask_i32scatter_pd(path_sum, m, idx, _mm512_add_pd(sum, path_v),
-                              8);
+    const __m512d path = _mm512_maskz_loadu_pd(m, paths + i);
+    _mm512_mask_i32scatter_pd(path_sum, m, idx, _mm512_add_pd(sum, path), 8);
   }
 }
 

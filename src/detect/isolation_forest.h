@@ -23,10 +23,11 @@ namespace subex {
 /// Each `Score` call gathers the subspace's columns once and grows every
 /// tree by stable in-place partitioning of the subsample's index buffer;
 /// each accepted split also partitions the rows outside the subsample, so
-/// every point is credited with its leaf's `depth + c(size)` as the leaf is
-/// built and no tree is stored or walked. All scratch is local to the call.
-/// The node loops run in AVX-512 on hosts that have it (detect/simd.h),
-/// with the same score bits.
+/// every point ends in the leaf its walk would reach and no tree is stored
+/// or walked. Each leaf stores its `depth + c(size)` at its rows' index
+/// positions, and one pass per tree adds them to the points' sums. All
+/// scratch is local to the call. The tree loops run in AVX-512 on hosts
+/// that have it (detect/simd.h), with the same score bits.
 class IsolationForest final : public Detector {
  public:
   struct Options {

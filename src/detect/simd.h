@@ -47,19 +47,23 @@ std::vector<double> IsolationForestScores(
 KnnTable SweepKnnOn(const Dataset& data, const Subspace& subspace, int k,
                     KernelPath path);
 
-/// The three primitives one Isolation Forest node runs, over the rows
-/// `rows[0, count)` of one column-major block column. Each version returns
-/// the bits of the other on every input, NaN and signed zeros included.
+/// The primitives one Isolation Forest tree runs. Each version returns the
+/// bits of the other on every input, NaN and signed zeros included.
 ///
-/// `ScanRange` stores `values[i] = column[rows[i]]` and returns {min, max}
-/// of those values (count >= 1) as two `std::min`/`std::max` accumulator
-/// pairs seeded from `values[0]` would: a NaN `values[0]` makes both NaN,
-/// any other NaN is ignored. `Partition` stably moves the rows with
-/// `values[i] < split` to the front (the rest after them, in order, through
-/// `scratch`) and returns how many there are; `PartitionGather` does the
-/// same reading `column[rows[i]]`. `Credit` adds `path` to `path_sum[row]`
-/// for each of the (distinct) rows.
+/// `Split` writes the rows p in [0, n) with `taken[p] != 0` to `front` and
+/// the others to `back`, each in ascending order, and returns how many went
+/// to `front`. The node primitives work on the rows `rows[0, count)` of one
+/// column-major block column. `ScanRange` stores `values[i] =
+/// column[rows[i]]` and returns {min, max} of those values (count >= 1) as
+/// two `std::min`/`std::max` accumulator pairs seeded from `values[0]`
+/// would: a NaN `values[0]` makes both NaN, any other NaN is ignored.
+/// `Partition` stably moves the rows with `values[i] < split` to the front
+/// (the rest after them, in order, through `scratch`) and returns how many
+/// there are; `PartitionGather` does the same reading `column[rows[i]]`.
+/// `Fill` stores `path` in `paths[0, count)`. `Credit` adds `paths[i]` to
+/// `path_sum[rows[i]]` for each of the (distinct) rows.
 struct ScalarIForestOps {
+  static int Split(const unsigned char* taken, int n, int* front, int* back);
   static std::pair<double, double> ScanRange(const double* column,
                                              const int* rows, int count,
                                              double* values);
@@ -67,14 +71,19 @@ struct ScalarIForestOps {
                        double split, int* scratch);
   static int PartitionGather(int* rows, int count, const double* column,
                              double split, int* scratch);
-  static void Credit(const int* rows, int count, double path,
+  static void Fill(double* paths, int count, double path);
+  static void Credit(const int* rows, int count, const double* paths,
                      double* path_sum);
 };
 
 #if SUBEX_HAVE_AVX512_KERNELS
-/// `ScalarIForestOps` in 8-lane AVX-512 masks. Call only when
+/// `ScalarIForestOps` in AVX-512 masks: `Split` tests 16 mask bytes per
+/// step, the node primitives run 8 lanes per step, and a node of at most 8
+/// rows is partitioned in one register without `scratch`. Call only when
 /// `ActiveKernelPath()` is `kAvx512`.
 struct Avx512IForestOps {
+  SUBEX_AVX512_TARGET static int Split(const unsigned char* taken, int n,
+                                       int* front, int* back);
   SUBEX_AVX512_TARGET static std::pair<double, double> ScanRange(
       const double* column, const int* rows, int count, double* values);
   SUBEX_AVX512_TARGET static int Partition(int* rows, int count,
@@ -83,8 +92,10 @@ struct Avx512IForestOps {
   SUBEX_AVX512_TARGET static int PartitionGather(int* rows, int count,
                                                  const double* column,
                                                  double split, int* scratch);
+  SUBEX_AVX512_TARGET static void Fill(double* paths, int count, double path);
   SUBEX_AVX512_TARGET static void Credit(const int* rows, int count,
-                                         double path, double* path_sum);
+                                         const double* paths,
+                                         double* path_sum);
 };
 #endif
 

@@ -17,6 +17,8 @@
 #include <numeric>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace subex {
 namespace {
 
@@ -171,7 +173,7 @@ struct PrimitiveResult {
   std::vector<double> values;
   std::vector<int> partitioned, gathered;
   int mid = 0, gathered_mid = 0;
-  std::vector<double> credited;
+  std::vector<double> credited, credited_per_row, filled;
 
   PrimitiveResult(const PrimitiveCase& c, double split_u) {
     const int count = static_cast<int>(c.rows.size());
@@ -191,8 +193,14 @@ struct PrimitiveResult {
     gathered_mid = Ops::PartitionGather(gathered.data(), count,
                                         c.column.data(), split,
                                         scratch.data());
+    // One path for every row, as a leaf stores it, then one path per row,
+    // as the per-tree pass adds a tree's leaves.
+    filled.assign(count + 1, -1.0);
+    Ops::Fill(filled.data(), count, 1.0 + split_u);
     credited.assign(c.column.size(), 0.25);
-    Ops::Credit(c.rows.data(), count, 1.0 + split_u, credited.data());
+    Ops::Credit(c.rows.data(), count, filled.data(), credited.data());
+    credited_per_row = credited;
+    Ops::Credit(c.rows.data(), count, values.data(), credited_per_row.data());
   }
 };
 
@@ -202,7 +210,8 @@ TEST(IsolationForestSimdTest, ScalarPrimitivesMatchDefinitions) {
   for (Column kind : kColumns) {
     for (int count : PrimitiveCounts()) {
       const PrimitiveCase c = MakePrimitiveCase(kind, count + 7, count, s);
-      const PrimitiveResult<ScalarIForestOps> r(c, s.Unit());
+      const double split_u = s.Unit();
+      const PrimitiveResult<ScalarIForestOps> r(c, split_u);
       std::vector<double> values;
       for (int p : c.rows) values.push_back(c.column[p]);
       ASSERT_EQ(Bits(r.values), Bits(values));
@@ -231,6 +240,14 @@ TEST(IsolationForestSimdTest, ScalarPrimitivesMatchDefinitions) {
           [&](int p) { return c.column[p] < split; });
       EXPECT_EQ(mid, it - expected.begin());
       EXPECT_EQ(rows, expected);
+      std::vector<double> filled(count, 1.0 + split_u);
+      filled.push_back(-1.0);
+      EXPECT_EQ(Bits(r.filled), Bits(filled));
+      std::vector<double> credited(c.column.size(), 0.25);
+      for (int i = 0; i < count; ++i) credited[c.rows[i]] += filled[i];
+      EXPECT_EQ(Bits(r.credited), Bits(credited));
+      for (int i = 0; i < count; ++i) credited[c.rows[i]] += values[i];
+      EXPECT_EQ(Bits(r.credited_per_row), Bits(credited));
     }
   }
 }
@@ -256,18 +273,115 @@ TEST(IsolationForestSimdTest, PrimitivesMatchScalarBitwise) {
         EXPECT_EQ(vector.partitioned, scalar.partitioned);
         EXPECT_EQ(vector.gathered_mid, scalar.gathered_mid);
         EXPECT_EQ(vector.gathered, scalar.gathered);
+        EXPECT_EQ(Bits(vector.filled), Bits(scalar.filled));
         EXPECT_EQ(Bits(vector.credited), Bits(scalar.credited));
+        EXPECT_EQ(Bits(vector.credited_per_row),
+                  Bits(scalar.credited_per_row));
       }
     }
   }
 #endif
 }
 
-// Whole forests on both paths: every size, width and column kind.
+// `Split` over the masks `Rng::SampleMask` draws and over arbitrary bytes
+// (any nonzero byte is taken), in a buffer of exactly n bytes so that a read
+// past the mask's end shows under ASan. The sizes straddle the 16-byte
+// steps; psi is 2, n - 1 and n.
+TEST(IsolationForestSimdTest, SplitMatchesScalarBitwise) {
+  std::vector<int> sizes;
+  for (int n = 1; n <= 17; ++n) sizes.push_back(n);
+  for (int n : {31, 32, 33, 300}) sizes.push_back(n);
+  Stream s(14);
+  Rng rng(14);
+  for (int n : sizes) {
+    for (int psi : {2, n - 1, n}) {
+      if (psi < 0 || psi > n) continue;
+      for (int round = 0; round < 3; ++round) {
+        std::vector<unsigned char> taken(n);
+        if (round < 2) {
+          rng.SampleMask(psi, taken);
+        } else {
+          for (unsigned char& b : taken) b = s.Below(2) == 0 ? 0 : s.Below(256);
+        }
+        std::vector<int> front, back;
+        for (int p = 0; p < n; ++p) (taken[p] ? front : back).push_back(p);
+        std::vector<int> rows(n + 1, -1);
+        const int num_front = ScalarIForestOps::Split(
+            taken.data(), n, rows.data(), rows.data() + front.size());
+        SCOPED_TRACE(testing::Message() << "n " << n << ", psi " << psi
+                                        << ", round " << round);
+        ASSERT_EQ(num_front, static_cast<int>(front.size()));
+        std::vector<int> expected = front;
+        expected.insert(expected.end(), back.begin(), back.end());
+        expected.push_back(-1);
+        ASSERT_EQ(rows, expected);
+        if (!HostRunsAvx512()) continue;
+#if SUBEX_HAVE_AVX512_KERNELS
+        std::vector<int> vector_rows(n + 1, -1);
+        EXPECT_EQ(Avx512IForestOps::Split(taken.data(), n, vector_rows.data(),
+                                          vector_rows.data() + front.size()),
+                  num_front);
+        EXPECT_EQ(vector_rows, rows);
+#endif
+      }
+    }
+  }
+  if (!HostRunsAvx512()) GTEST_SKIP() << kNoAvx512;
+}
+
+// Nodes of at most 8 rows, which the vector path partitions in one
+// register: every count from 0 to 8 and every below/above pattern of its
+// rows, read in place and gathered, with the slot past the node untouched.
+TEST(IsolationForestSimdTest, SmallPartitionsMatchScalarBitwise) {
+  if (!HostRunsAvx512()) GTEST_SKIP() << kNoAvx512;
+#if SUBEX_HAVE_AVX512_KERNELS
+  Stream s(15);
+  for (int count = 0; count <= 8; ++count) {
+    for (unsigned pattern = 0; pattern < (1u << count); ++pattern) {
+      const PrimitiveCase c =
+          MakePrimitiveCase(Column::kUniform, 9 + s.Below(4), count, s);
+      std::vector<double> column = c.column;
+      std::vector<double> values;
+      for (int i = 0; i < count; ++i) {
+        column[c.rows[i]] = (pattern >> i & 1u) ? 0.25 : 0.75;
+        values.push_back(column[c.rows[i]]);
+      }
+      std::vector<int> scratch(count + 1);
+      std::vector<int> scalar = c.rows, vector = c.rows;
+      scalar.push_back(-1);
+      vector.push_back(-1);
+      SCOPED_TRACE(testing::Message() << "count " << count << ", pattern "
+                                      << pattern);
+      const int mid = ScalarIForestOps::Partition(
+          scalar.data(), count, values.data(), 0.5, scratch.data());
+      EXPECT_EQ(Avx512IForestOps::Partition(vector.data(), count,
+                                            values.data(), 0.5,
+                                            scratch.data()),
+                mid);
+      EXPECT_EQ(mid, __builtin_popcount(pattern));
+      EXPECT_EQ(vector, scalar);
+      scalar = c.rows;
+      vector = c.rows;
+      scalar.push_back(-1);
+      vector.push_back(-1);
+      const int gathered_mid = ScalarIForestOps::PartitionGather(
+          scalar.data(), count, column.data(), 0.5, scratch.data());
+      EXPECT_EQ(Avx512IForestOps::PartitionGather(vector.data(), count,
+                                                  column.data(), 0.5,
+                                                  scratch.data()),
+                gathered_mid);
+      EXPECT_EQ(gathered_mid, mid);
+      EXPECT_EQ(vector, scalar);
+    }
+  }
+#endif
+}
+
+// Whole forests on both paths: every size, width and column kind, with
+// subsamples of 2, 8 and 256 rows (clamped to n).
 TEST(IsolationForestSimdTest, ScoresMatchScalarBitwise) {
   IsolationForest::Options options;
   options.num_trees = 8;
-  options.subsample_size = 256;
   options.num_repetitions = 2;
   Stream s(13);
   int cases = 0;
@@ -277,23 +391,26 @@ TEST(IsolationForestSimdTest, ScoresMatchScalarBitwise) {
         const Dataset data = MakeData(n, kinds, s);
         options.seed = s.Next();
         for (const Subspace& subspace : Subspaces(d)) {
-          const std::vector<double> scalar = IsolationForestScores(
-              options, data, subspace, KernelPath::kScalar);
-          ASSERT_EQ(scalar.size(), static_cast<std::size_t>(n));
-          if (!HostRunsAvx512()) continue;
-          SCOPED_TRACE(testing::Message() << "n " << n << ", d " << d
-                                          << ", subspace "
-                                          << subspace.ToString());
-          ASSERT_EQ(Bits(IsolationForestScores(options, data, subspace,
-                                               KernelPath::kAvx512)),
-                    Bits(scalar));
-          ++cases;
+          for (int psi : {2, 8, 256}) {
+            options.subsample_size = psi;
+            const std::vector<double> scalar = IsolationForestScores(
+                options, data, subspace, KernelPath::kScalar);
+            ASSERT_EQ(scalar.size(), static_cast<std::size_t>(n));
+            if (!HostRunsAvx512()) continue;
+            SCOPED_TRACE(testing::Message()
+                         << "n " << n << ", d " << d << ", psi " << psi
+                         << ", subspace " << subspace.ToString());
+            ASSERT_EQ(Bits(IsolationForestScores(options, data, subspace,
+                                                 KernelPath::kAvx512)),
+                      Bits(scalar));
+            ++cases;
+          }
         }
       }
     }
   }
   if (!HostRunsAvx512()) GTEST_SKIP() << kNoAvx512;
-  EXPECT_GT(cases, 1000);
+  EXPECT_GT(cases, 3000);
 }
 
 // --- kNN sweep -------------------------------------------------------------
