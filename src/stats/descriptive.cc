@@ -76,12 +76,28 @@ std::vector<double> Standardize(std::span<const double> values) {
                  std::back_inserter(finite_values), finite);
     basis = finite_values;
   }
-  const double mean = Mean(basis);
-  const double sd = std::sqrt(PopulationVariance(basis));
+  double mean = Mean(basis);
+  double sd = std::sqrt(PopulationVariance(basis));
+  // When the finite scores' sum or squared deviations overflow, take both
+  // again over the scores times a power of two that brings the largest
+  // magnitude below 1: the scaling is exact (bar the underflow of scores
+  // far too small to move either), and every score is scaled the same way.
+  double scale = 1.0;
+  if (!std::isfinite(mean) || !std::isfinite(sd)) {
+    double largest = 0.0;
+    for (double v : basis) largest = std::max(largest, std::abs(v));
+    int exponent = 0;
+    std::frexp(largest, &exponent);
+    scale = std::ldexp(1.0, -exponent);
+    std::vector<double> scaled;
+    for (double v : basis) scaled.push_back(v * scale);
+    mean = Mean(scaled);
+    sd = std::sqrt(PopulationVariance(scaled));
+  }
   std::vector<double> out(values.size(), 0.0);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (sd >= 1e-12) {
-      out[i] = (values[i] - mean) / sd;
+    if (sd >= 1e-12 * scale) {
+      out[i] = (values[i] * scale - mean) / sd;
     } else if (!finite(values[i])) {
       out[i] = values[i];
     }

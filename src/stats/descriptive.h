@@ -37,7 +37,10 @@ double Median(std::span<const double> values);
 /// NaN stays NaN: one overflowing score cannot turn every output into NaN.
 /// If the standard deviation is ~0 (all finite scores equal, so no point
 /// stands out) every finite value maps to 0 and non-finite values are kept
-/// as they are.
+/// as they are. Finite scores whose sum or squared deviations overflow are
+/// standardized through an exact power-of-two rescaling, so they keep
+/// their order; every vector whose mean and deviation are finite without it
+/// keeps its bits.
 std::vector<double> Standardize(std::span<const double> values);
 
 }  // namespace subex

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 namespace subex {
@@ -81,6 +82,45 @@ TEST(DescriptiveTest, StandardizeIsAffineInvariantInRank) {
   for (std::size_t i = 0; i < v.size(); ++i) {
     EXPECT_NEAR(zv[i], zw[i], 1e-12);
   }
+}
+
+// Finite scores whose squared deviations overflow: the sd was +Inf and
+// every score standardized to 0.
+TEST(DescriptiveTest, StandardizeOverflowingDeviationsKeepsOrder) {
+  std::vector<double> v(63, 0.0);
+  v.push_back(1e160);
+  const std::vector<double> z = Standardize(v);
+  for (double x : z) EXPECT_TRUE(std::isfinite(x));
+  EXPECT_NEAR(z.back(), std::sqrt(63.0), 1e-12);
+  for (std::size_t i = 0; i + 1 < z.size(); ++i) {
+    EXPECT_EQ(z[i], z[0]);
+    EXPECT_LT(z[i], 0.0);
+  }
+}
+
+// Finite scores whose sum overflows: the mean was +Inf and every score
+// standardized to NaN. Infinite scores still map through unchanged.
+TEST(DescriptiveTest, StandardizeOverflowingSumKeepsOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> v = {1.5e308, 1.2e308, -1e308, 0.0, 1e300, -inf};
+  const std::vector<double> z = Standardize(v);
+  for (std::size_t i = 0; i + 1 < v.size(); ++i) {
+    EXPECT_TRUE(std::isfinite(z[i])) << i;
+  }
+  EXPECT_EQ(z.back(), -inf);
+  const std::vector<std::size_t> ascending = {2, 3, 4, 1, 0};
+  for (std::size_t i = 1; i < ascending.size(); ++i) {
+    EXPECT_LT(z[ascending[i - 1]], z[ascending[i]]);
+  }
+  std::vector<double> finite(z.begin(), z.end() - 1);
+  EXPECT_NEAR(Mean(finite), 0.0, 1e-12);
+  EXPECT_NEAR(PopulationVariance(finite), 1.0, 1e-12);
+}
+
+// Equal finite scores whose sum overflows are still constant.
+TEST(DescriptiveTest, StandardizeOverflowingConstantIsAllZero) {
+  const std::vector<double> z = Standardize(std::vector<double>(4, 1e308));
+  for (double x : z) EXPECT_EQ(x, 0.0);
 }
 
 }  // namespace

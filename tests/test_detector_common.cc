@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "core/metrics.h"
 #include "detect/knn_distance.h"
+#include "detect/lof.h"
 #include "stats/descriptive.h"
 
 namespace subex {
@@ -145,6 +146,29 @@ TEST(DetectorOverflowTest, KnnDistanceStandardizesWithoutNan) {
                    KnnDistance::Aggregation::kMean}) {
     EXPECT_GT(ExpectProbeStandardizesWithoutNan(KnnDistance(10, agg)), 0);
   }
+}
+
+// 63 rows on two positions, each with more than k = 15 exact duplicates
+// (lrd 1/1e-10), and one row at 1e150 in both features: that row's LOF is a
+// finite 1e160 whose squared deviation overflows. It must still rank first.
+TEST(DetectorOverflowTest, LofOverflowingFiniteScoreRanksFirst) {
+  Matrix m(64, 2);
+  for (int p = 0; p < 63; ++p) {
+    m(p, 0) = p % 2;
+    m(p, 1) = p % 2;
+  }
+  m(63, 0) = 1e150;
+  m(63, 1) = 1e150;
+  const Dataset d(std::move(m));
+  const Lof lof(15);
+  const std::vector<double> raw = lof.Score(d, Subspace());
+  ASSERT_TRUE(std::isfinite(raw[63]));
+  const std::vector<double> z = ScoreStandardized(lof, d, Subspace());
+  for (int p = 0; p < 63; ++p) {
+    EXPECT_TRUE(std::isfinite(z[p])) << p;
+    EXPECT_LT(z[p], z[63]) << p;
+  }
+  EXPECT_GT(z[63], 0.0);
 }
 
 TEST(DetectorFactoryTest, AllKindsListed) {
