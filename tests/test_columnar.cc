@@ -20,11 +20,26 @@
 namespace subex {
 namespace {
 
-// Per-process unique paths so parallel ctest workers never share a file.
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "subex_cols_" + std::to_string(::getpid()) +
-         "_" + name;
-}
+// Hands out per-process unique paths, so parallel ctest workers never
+// share a file, and removes each one in `TearDown`.
+class TempFileTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    for (const std::string& path : written_) std::remove(path.c_str());
+  }
+
+  std::string TempPath(const std::string& name) {
+    written_.push_back(::testing::TempDir() + "subex_cols_" +
+                       std::to_string(::getpid()) + "_" + name);
+    return written_.back();
+  }
+
+ private:
+  std::vector<std::string> written_;
+};
+
+class ColumnarTest : public TempFileTest {};
+class ChunkedDatasetTest : public TempFileTest {};
 
 Dataset MakeDataset(std::size_t rows, std::size_t cols,
                     std::vector<int> outliers = {}) {
@@ -39,7 +54,7 @@ Dataset MakeDataset(std::size_t rows, std::size_t cols,
   return Dataset(std::move(m), std::move(outliers));
 }
 
-TEST(ColumnarTest, RoundTripIsBitExact) {
+TEST_F(ColumnarTest, RoundTripIsBitExact) {
   const std::string path = TempPath("roundtrip.cols");
   const Dataset original = MakeDataset(100, 3, {2, 17, 99});
   std::string error;
@@ -52,7 +67,7 @@ TEST(ColumnarTest, RoundTripIsBitExact) {
   EXPECT_EQ(result.dataset.outlier_indices(), original.outlier_indices());
 }
 
-TEST(ColumnarTest, RoundTripPreservesNanAndExtremeValues) {
+TEST_F(ColumnarTest, RoundTripPreservesNanAndExtremeValues) {
   const std::string path = TempPath("nan.cols");
   Matrix m(4, 2);
   m(0, 0) = std::numeric_limits<double>::quiet_NaN();
@@ -77,7 +92,7 @@ TEST(ColumnarTest, RoundTripPreservesNanAndExtremeValues) {
   EXPECT_NE(back(3, 0), back(3, 1));
 }
 
-TEST(ColumnarTest, EmptyDatasetRoundTrips) {
+TEST_F(ColumnarTest, EmptyDatasetRoundTrips) {
   const std::string path = TempPath("empty.cols");
   std::string error;
   ASSERT_TRUE(WriteColumnarDataset(path, Dataset(), 8, &error)) << error;
@@ -87,7 +102,7 @@ TEST(ColumnarTest, EmptyDatasetRoundTrips) {
   EXPECT_TRUE(result.dataset.outlier_indices().empty());
 }
 
-TEST(ColumnarTest, SingleRowRoundTrips) {
+TEST_F(ColumnarTest, SingleRowRoundTrips) {
   const std::string path = TempPath("single.cols");
   Matrix m(1, 4);
   for (std::size_t c = 0; c < 4; ++c) m(0, c) = 0.5 * static_cast<double>(c);
@@ -99,7 +114,7 @@ TEST(ColumnarTest, SingleRowRoundTrips) {
   EXPECT_EQ(result.dataset.outlier_indices(), (std::vector<int>{0}));
 }
 
-TEST(ColumnarTest, RowCountOnChunkBoundaryRoundTrips) {
+TEST_F(ColumnarTest, RowCountOnChunkBoundaryRoundTrips) {
   // Exactly full final block, one-past, and one-short: the classic
   // off-by-one territory of chunked offset math.
   for (const std::size_t rows : {16u, 17u, 15u, 32u}) {
@@ -117,7 +132,7 @@ TEST(ColumnarTest, RowCountOnChunkBoundaryRoundTrips) {
   }
 }
 
-TEST(ColumnarTest, StreamingWriterMatchesWholeDatasetWriter) {
+TEST_F(ColumnarTest, StreamingWriterMatchesWholeDatasetWriter) {
   const Dataset original = MakeDataset(50, 2, {3, 7});
   const std::string streamed = TempPath("streamed.cols");
   ColumnarWriter writer(streamed, 2, /*rows_per_chunk=*/8);
@@ -133,7 +148,7 @@ TEST(ColumnarTest, StreamingWriterMatchesWholeDatasetWriter) {
   EXPECT_EQ(result.dataset.outlier_indices(), original.outlier_indices());
 }
 
-TEST(ColumnarTest, TruncatedFileIsRejected) {
+TEST_F(ColumnarTest, TruncatedFileIsRejected) {
   const std::string path = TempPath("truncated.cols");
   std::string error;
   ASSERT_TRUE(WriteColumnarDataset(path, MakeDataset(64, 2), 16, &error))
@@ -153,7 +168,7 @@ TEST(ColumnarTest, TruncatedFileIsRejected) {
   EXPECT_NE(open.error.find("truncated or corrupt"), std::string::npos);
 }
 
-TEST(ColumnarTest, BadMagicIsRejected) {
+TEST_F(ColumnarTest, BadMagicIsRejected) {
   const std::string path = TempPath("magic.cols");
   std::ofstream out(path, std::ios::binary);
   out << "not a columnar file at all, but comfortably longer than one "
@@ -164,7 +179,7 @@ TEST(ColumnarTest, BadMagicIsRejected) {
   EXPECT_NE(open.error.find("bad magic"), std::string::npos);
 }
 
-TEST(ColumnarTest, ShortHeaderIsRejected) {
+TEST_F(ColumnarTest, ShortHeaderIsRejected) {
   const std::string path = TempPath("short.cols");
   std::ofstream out(path, std::ios::binary);
   out << "SXCL";
@@ -174,7 +189,7 @@ TEST(ColumnarTest, ShortHeaderIsRejected) {
   EXPECT_NE(open.error.find("truncated header"), std::string::npos);
 }
 
-TEST(ColumnarTest, CorruptOutlierTrailerIsRejected) {
+TEST_F(ColumnarTest, CorruptOutlierTrailerIsRejected) {
   const std::string path = TempPath("outlier.cols");
   std::string error;
   ASSERT_TRUE(WriteColumnarDataset(path, MakeDataset(8, 1, {1, 5}), 4,
@@ -191,7 +206,7 @@ TEST(ColumnarTest, CorruptOutlierTrailerIsRejected) {
   EXPECT_NE(open.error.find("outlier"), std::string::npos);
 }
 
-TEST(ColumnarTest, ReadChunkReturnsColumnSlices) {
+TEST_F(ColumnarTest, ReadChunkReturnsColumnSlices) {
   const std::string path = TempPath("chunks.cols");
   Matrix m(10, 2);
   for (std::size_t r = 0; r < 10; ++r) {
@@ -211,7 +226,7 @@ TEST(ColumnarTest, ReadChunkReturnsColumnSlices) {
   EXPECT_EQ((*chunk)[1], 109.0);
 }
 
-TEST(ColumnarTest, CsvConversionMatchesCsvReader) {
+TEST_F(ColumnarTest, CsvConversionMatchesCsvReader) {
   const std::string csv = TempPath("convert.csv");
   const std::string cols = TempPath("convert.cols");
   const Dataset original = MakeDataset(40, 3, {1, 20, 39});
@@ -237,7 +252,7 @@ TEST(ColumnarTest, CsvConversionMatchesCsvReader) {
             via_csv.dataset.outlier_indices());
 }
 
-TEST(ColumnarTest, ConversionRejectsMalformedCsv) {
+TEST_F(ColumnarTest, ConversionRejectsMalformedCsv) {
   const std::string csv = TempPath("bad.csv");
   std::ofstream out(csv);
   out << "a,b,label\n1.0,2.0,0\n1.0,oops,1\n";
@@ -251,7 +266,7 @@ TEST(ColumnarTest, ConversionRejectsMalformedCsv) {
 // ---------------------------------------------------------------------------
 // ChunkedDataset
 
-TEST(ChunkedDatasetTest, ServesValuesAndCachesChunks) {
+TEST_F(ChunkedDatasetTest, ServesValuesAndCachesChunks) {
   const std::string path = TempPath("chunked.cols");
   const Dataset original = MakeDataset(30, 2);
   std::string error;
@@ -282,7 +297,7 @@ TEST(ChunkedDatasetTest, ServesValuesAndCachesChunks) {
   EXPECT_EQ(stats.resident_chunks, 1u);
 }
 
-TEST(ChunkedDatasetTest, TinyBudgetEvictsUnpinnedChunks) {
+TEST_F(ChunkedDatasetTest, TinyBudgetEvictsUnpinnedChunks) {
   const std::string path = TempPath("evict.cols");
   std::string error;
   ASSERT_TRUE(WriteColumnarDataset(path, MakeDataset(1024, 4), 256, &error))
@@ -310,7 +325,7 @@ TEST(ChunkedDatasetTest, TinyBudgetEvictsUnpinnedChunks) {
   EXPECT_LE(stats.resident_chunks, 1u);
 }
 
-TEST(ChunkedDatasetTest, PinnedChunksSurvivePressure) {
+TEST_F(ChunkedDatasetTest, PinnedChunksSurvivePressure) {
   const std::string path = TempPath("pin.cols");
   std::string error;
   ASSERT_TRUE(WriteColumnarDataset(path, MakeDataset(1024, 4), 256, &error))
@@ -344,7 +359,7 @@ TEST(ChunkedDatasetTest, PinnedChunksSurvivePressure) {
   EXPECT_EQ(data.stats().pinned_chunks, 0u);
 }
 
-TEST(ChunkedDatasetTest, ConcurrentReadersSingleFlightLoads) {
+TEST_F(ChunkedDatasetTest, ConcurrentReadersSingleFlightLoads) {
   const std::string path = TempPath("mt.cols");
   const Dataset original = MakeDataset(512, 3);
   std::string error;

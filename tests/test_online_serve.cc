@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -23,6 +24,22 @@ namespace {
 /// server, plus a drifting stream to ingest from.
 class OnlineServeTest : public ::testing::Test {
  protected:
+  /// Stops the server, closing the WAL, then removes the WAL directory.
+  void TearDown() override {
+    server_.reset();
+    pool_.reset();
+    dataset_.reset();
+    if (!wal_dir_.empty()) std::filesystem::remove_all(wal_dir_);
+  }
+
+  /// A per-process WAL directory, removed in `TearDown`.
+  std::string MakeWalDir(const std::string& tag) {
+    wal_dir_ = ::testing::TempDir() + "subex_online_serve_" + tag + "_" +
+               std::to_string(::getpid());
+    ::mkdir(wal_dir_.c_str(), 0755);
+    return wal_dir_;
+  }
+
   /// `wal_dir` non-empty turns on the dataset's WAL there.
   void StartServer(const std::string& wal_dir = "") {
     OnlineDatasetOptions options;
@@ -89,6 +106,7 @@ class OnlineServeTest : public ::testing::Test {
   std::unique_ptr<OnlineDataset> dataset_;
   std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<ExplainServer> server_;
+  std::string wal_dir_;
 };
 
 TEST_F(OnlineServeTest, IngestReportsWindowProgress) {
@@ -210,9 +228,7 @@ TEST_F(OnlineServeTest, OnlineErrorsAreReported) {
 }
 
 TEST_F(OnlineServeTest, NonFiniteIngestLeavesWindowAndWalUnchanged) {
-  const std::string dir = ::testing::TempDir() + "subex_online_serve_nan_" +
-                          std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
+  const std::string dir = MakeWalDir("nan");
   ::unlink((dir + "/stream.wal").c_str());
   ::unlink((dir + "/stream.ckpt").c_str());
   StartServer(dir);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -26,18 +27,34 @@
 namespace subex {
 namespace {
 
-std::string TempDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "subex_wal_" + tag + "_" +
-                          std::to_string(::getpid());
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
+// Hands out per-process directories and removes each one, with everything
+// written into it, in `TearDown`.
+class TempDirTest : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    for (const std::string& dir : made_) std::filesystem::remove_all(dir);
+  }
+
+  std::string TempDir(const std::string& tag) {
+    made_.push_back(::testing::TempDir() + "subex_wal_" + tag + "_" +
+                    std::to_string(::getpid()));
+    ::mkdir(made_.back().c_str(), 0755);
+    return made_.back();
+  }
+
+ private:
+  std::vector<std::string> made_;
+};
+
+class Wal : public TempDirTest {};
+class Checkpoint : public TempDirTest {};
+class WalRecovery : public TempDirTest {};
 
 std::vector<std::uint8_t> Bytes(const std::string& s) {
   return std::vector<std::uint8_t>(s.begin(), s.end());
 }
 
-TEST(Wal, AppendAndReadRoundTrip) {
+TEST_F(Wal, AppendAndReadRoundTrip) {
   const std::string path = TempDir("roundtrip") + "/a.wal";
   ::unlink(path.c_str());
   WalWriter writer;
@@ -65,14 +82,14 @@ TEST(Wal, AppendAndReadRoundTrip) {
   EXPECT_EQ(read.records[2].payload, p3);
 }
 
-TEST(Wal, AbsentFileReadsAsEmpty) {
+TEST_F(Wal, AbsentFileReadsAsEmpty) {
   const WalReadResult read = ReadWal(TempDir("absent") + "/nope.wal");
   EXPECT_TRUE(read.ok()) << read.error;
   EXPECT_TRUE(read.records.empty());
   EXPECT_FALSE(read.truncated_tail);
 }
 
-TEST(Wal, TornTailIsDroppedCleanly) {
+TEST_F(Wal, TornTailIsDroppedCleanly) {
   const std::string path = TempDir("torn") + "/a.wal";
   ::unlink(path.c_str());
   WalWriter writer;
@@ -99,7 +116,7 @@ TEST(Wal, TornTailIsDroppedCleanly) {
   }
 }
 
-TEST(Wal, CorruptRecordStopsReplayAtLastGoodRecord) {
+TEST_F(Wal, CorruptRecordStopsReplayAtLastGoodRecord) {
   const std::string path = TempDir("corrupt") + "/a.wal";
   ::unlink(path.c_str());
   WalWriter writer;
@@ -124,7 +141,7 @@ TEST(Wal, CorruptRecordStopsReplayAtLastGoodRecord) {
   ASSERT_EQ(read.records.size(), 1u);
 }
 
-TEST(Wal, TruncateEmptiesTheLog) {
+TEST_F(Wal, TruncateEmptiesTheLog) {
   const std::string path = TempDir("trunc") + "/a.wal";
   ::unlink(path.c_str());
   WalWriter writer;
@@ -142,7 +159,7 @@ TEST(Wal, TruncateEmptiesTheLog) {
   EXPECT_EQ(read.records[0].type, 2);
 }
 
-TEST(Wal, AppendFaultInjection) {
+TEST_F(Wal, AppendFaultInjection) {
   FaultControl control;
   control.Arm(FaultPoint::kWalAppend, FaultRule{});
   const std::string path = TempDir("fault") + "/a.wal";
@@ -156,7 +173,7 @@ TEST(Wal, AppendFaultInjection) {
   EXPECT_EQ(writer.bytes(), 0u);
 }
 
-TEST(Checkpoint, RoundTripAndAtomicReplace) {
+TEST_F(Checkpoint, RoundTripAndAtomicReplace) {
   const std::string path = TempDir("ckpt") + "/c.ckpt";
   ::unlink(path.c_str());
   std::string error;
@@ -174,7 +191,7 @@ TEST(Checkpoint, RoundTripAndAtomicReplace) {
   EXPECT_EQ(read.payload, v2);
 }
 
-TEST(Checkpoint, AbsentFileIsOkCorruptFileIsError) {
+TEST_F(Checkpoint, AbsentFileIsOkCorruptFileIsError) {
   const std::string dir = TempDir("ckpt2");
   CheckpointReadResult read = ReadCheckpointFile(dir + "/nope.ckpt");
   EXPECT_TRUE(read.ok());
@@ -201,7 +218,7 @@ TEST(Checkpoint, AbsentFileIsOkCorruptFileIsError) {
   EXPECT_NE(read.error.find("CRC"), std::string::npos) << read.error;
 }
 
-TEST(Checkpoint, SyncFaultLeavesOldCheckpointIntact) {
+TEST_F(Checkpoint, SyncFaultLeavesOldCheckpointIntact) {
   FaultControl control;
   const std::string path = TempDir("ckpt3") + "/c.ckpt";
   ::unlink(path.c_str());
@@ -263,7 +280,7 @@ void IngestUpTo(OnlineDataset& dataset, std::uint64_t n,
   }
 }
 
-TEST(WalRecovery, RestartMatchesUninterruptedRunBitwise) {
+TEST_F(WalRecovery, RestartMatchesUninterruptedRunBitwise) {
   constexpr std::size_t kFeatures = 3;
   constexpr std::uint64_t kTotal = 150;
   constexpr std::uint64_t kCrashAt = 97;
@@ -317,7 +334,7 @@ TEST(WalRecovery, RestartMatchesUninterruptedRunBitwise) {
   }
 }
 
-TEST(WalRecovery, FlushIsJournaledToo) {
+TEST_F(WalRecovery, FlushIsJournaledToo) {
   constexpr std::size_t kFeatures = 2;
   const std::string dir = TempDir("flush");
   ::unlink((dir + "/golden.wal").c_str());
@@ -341,7 +358,7 @@ TEST(WalRecovery, FlushIsJournaledToo) {
   EXPECT_EQ(recovered.stats().total_ingested, 21u);
 }
 
-TEST(WalRecovery, DegradesButKeepsServingWhenAppendsFail) {
+TEST_F(WalRecovery, DegradesButKeepsServingWhenAppendsFail) {
   FaultControl control;
   constexpr std::size_t kFeatures = 2;
   const std::string dir = TempDir("degrade");
@@ -359,7 +376,7 @@ TEST(WalRecovery, DegradesButKeepsServingWhenAppendsFail) {
   EXPECT_GT(stats.epoch, 0u);
 }
 
-TEST(WalRecovery, FreshDirectoryIsANoOp) {
+TEST_F(WalRecovery, FreshDirectoryIsANoOp) {
   const std::string dir = TempDir("fresh");
   ::unlink((dir + "/golden.wal").c_str());
   ::unlink((dir + "/golden.ckpt").c_str());
