@@ -227,13 +227,22 @@ BENCHMARK(BM_LofThenFastAbodShared)
 BENCHMARK(BM_RngDraws)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 BENCHMARK(BM_HicsContrast)->Arg(1000)->Unit(benchmark::kMillisecond);
 
-// Console reporter that additionally captures every measured run into a
+// Passes every report to the display reporter that --benchmark_format and
+// --benchmark_color select, and captures every measured run into a
 // JsonTimingReport row (name, iterations, per-iteration real/cpu ms, and
 // the label when the benchmark set one).
-class CapturingReporter : public benchmark::ConsoleReporter {
+class CapturingReporter : public benchmark::BenchmarkReporter {
  public:
+  explicit CapturingReporter(benchmark::BenchmarkReporter* display)
+      : display_(display) {}
+
+  bool ReportContext(const Context& context) override {
+    return display_->ReportContext(context);
+  }
+  void Finalize() override { display_->Finalize(); }
+
   void ReportRuns(const std::vector<Run>& runs) override {
-    benchmark::ConsoleReporter::ReportRuns(runs);
+    display_->ReportRuns(runs);
     for (const Run& run : runs) {
       if (run.error_occurred || run.run_type != Run::RT_Iteration) continue;
       const double iters =
@@ -253,6 +262,9 @@ class CapturingReporter : public benchmark::ConsoleReporter {
   }
 
   bench::JsonTimingReport report;
+
+ private:
+  benchmark::BenchmarkReporter* display_;
 };
 
 }  // namespace
@@ -288,7 +300,7 @@ int main(int argc, char** argv) {
   MetricsHttpServer metrics_server;
   bench::StartMetricsEndpointIfRequested(metrics_server, metrics_port);
   bench::StartProfilerIfRequested(profile_out, profile_hz);
-  CapturingReporter reporter;
+  CapturingReporter reporter(benchmark::CreateDefaultDisplayReporter());
   reporter.report.SetMeta(JsonObject().Add("bench", "detectors"));
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

@@ -676,23 +676,40 @@ void ExplainServer::DispatchFrame(const std::shared_ptr<Connection>& conn,
                                              std::memory_order_acquire,
                                              std::memory_order_relaxed));
   requests_admitted_.fetch_add(1, std::memory_order_relaxed);
-  conn->in_flight.fetch_add(1, std::memory_order_acq_rel);
+  const bool conn_idle =
+      conn->in_flight.fetch_add(1, std::memory_order_acq_rel) == 0;
   const Clock::time_point admitted = Clock::now();
 
-  if (pool_ != nullptr) {
+  // A kScore whose vector is cached is answered here, on the loop thread,
+  // when nothing else of its connection is in flight: the hop to the pool
+  // and back would cost more than the answer. With an earlier request still
+  // computing, the reply could overtake that request's, so it queues.
+  ScoreVectorPtr hit;
+  if (pool_ != nullptr && conn_idle && kind->type == MessageType::kScore) {
+    WireReader body(payload.data() + EncodedHeaderBytes(header),
+                    payload.size() - EncodedHeaderBytes(header));
+    ScoreRequest request;
+    std::string error;
+    if (ScoringService* service = FindScoreService(body, &request, &error)) {
+      hit = service->Cached(request.subspace);
+    }
+  }
+  if (pool_ != nullptr && hit == nullptr) {
     pool_->Submit([this, conn, header, kind, admitted,
                    body = std::move(payload)]() mutable {
       HandleRequest(conn, header, *kind, std::move(body), admitted);
     });
   } else {
-    HandleRequest(conn, header, *kind, std::move(payload), admitted);
+    HandleRequest(conn, header, *kind, std::move(payload), admitted,
+                  std::move(hit));
   }
 }
 
 void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                                   MessageHeader header, const RequestType& kind,
                                   std::vector<std::uint8_t> payload,
-                                  Clock::time_point admitted) {
+                                  Clock::time_point admitted,
+                                  ScoreVectorPtr hit) {
   const std::uint64_t queue_wait_ns = NsSince(admitted);
   queue_wait_histogram_->Record(queue_wait_ns);
 
@@ -747,7 +764,9 @@ void ExplainServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     // Handlers and everything they call (scoring service, chunk loads,
     // explainer pipelines) see this trace via CurrentTrace().
     TraceContext context(trace);
-    response = (this->*kind.handler)(header.request_id, reader);
+    response = hit != nullptr
+                   ? EncodeScoreResult(header.request_id, *hit)
+                   : (this->*kind.handler)(header.request_id, reader);
   } catch (const std::exception& e) {
     response = EncodeError(header.request_id,
                            std::string("handler exception: ") + e.what());
@@ -797,24 +816,33 @@ bool SubspaceInRange(const Subspace& subspace, std::size_t num_features) {
 
 }  // namespace
 
+ScoringService* ExplainServer::FindScoreService(WireReader& reader,
+                                                ScoreRequest* request,
+                                                std::string* error) {
+  if (!DecodeScoreRequest(reader, request)) {
+    *error = "malformed kScore body";
+    return nullptr;
+  }
+  const auto it = services_.find(request->detector);
+  if (it == services_.end()) {
+    *error = "unknown detector: " + request->detector;
+    return nullptr;
+  }
+  if (!SubspaceInRange(request->subspace,
+                       it->second->data().num_features())) {
+    *error = "subspace feature out of range";
+    return nullptr;
+  }
+  return it->second;
+}
+
 std::vector<std::uint8_t> ExplainServer::HandleScore(std::uint64_t request_id,
                                                      WireReader& reader) {
   ScoreRequest request;
-  if (!DecodeScoreRequest(reader, &request)) {
-    return EncodeError(request_id, "malformed kScore body");
-  }
-  const auto it = services_.find(request.detector);
-  if (it == services_.end()) {
-    return EncodeError(request_id, "unknown detector: " + request.detector);
-  }
-  ScoringService& service = *it->second;
-  if (!SubspaceInRange(request.subspace, service.data().num_features())) {
-    return EncodeError(request_id, "subspace feature out of range");
-  }
-  const ScoreVectorPtr scores = service.Score(request.subspace);
-  ScoreResult result;
-  result.scores = *scores;
-  return EncodeScoreResult(request_id, result);
+  std::string error;
+  ScoringService* service = FindScoreService(reader, &request, &error);
+  if (service == nullptr) return EncodeError(request_id, error);
+  return EncodeScoreResult(request_id, *service->Score(request.subspace));
 }
 
 std::vector<std::uint8_t> ExplainServer::HandleExplain(std::uint64_t request_id,

@@ -90,7 +90,9 @@ struct ExplainServerOptions {
 /// multiplexes every connection, decodes length-prefixed request frames,
 /// and hands the compute — detector scoring through a `ScoringService`,
 /// point explanation through a registered `PointExplainer` — to the shared
-/// `ThreadPool`, so slow explanations never stall the loop.
+/// `ThreadPool`, so slow explanations never stall the loop. A kScore whose
+/// vector is already cached, on a connection with nothing else in flight,
+/// is answered on the loop itself: it never reaches a detector.
 ///
 /// Flow control is admission-based: at most `queue_capacity` requests may
 /// be in flight; beyond that the loop replies `kBusy` without touching the
@@ -193,15 +195,23 @@ class ExplainServer {
   /// Admission control + dispatch of one decoded frame.
   void DispatchFrame(const std::shared_ptr<Connection>& conn,
                      std::vector<std::uint8_t> payload);
-  /// Runs on the pool: decodes the body, computes, enqueues the response.
-  /// `kind` is the header type's `kRequestTypes` row. `admitted` is the
-  /// admission instant — queue wait (admission to start of compute) and
-  /// end-to-end latency (admission to response enqueued) both measure
-  /// from it.
+  /// Runs on the pool, or on the loop for a cache hit or without a pool:
+  /// decodes the body, computes, enqueues the response. `kind` is the
+  /// header type's `kRequestTypes` row. `admitted` is the admission
+  /// instant — queue wait (admission to start of compute) and end-to-end
+  /// latency (admission to response enqueued) both measure from it. A
+  /// non-null `hit` is the kScore's cached vector, which the response
+  /// encodes in place of running the handler.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      MessageHeader header, const RequestType& kind,
                      std::vector<std::uint8_t> payload,
-                     std::chrono::steady_clock::time_point admitted);
+                     std::chrono::steady_clock::time_point admitted,
+                     ScoreVectorPtr hit = nullptr);
+  /// Decodes a kScore body into `*request` and returns the service it
+  /// names, or null with `*error` set when the body is malformed, the
+  /// detector unknown or a feature out of range.
+  ScoringService* FindScoreService(WireReader& reader, ScoreRequest* request,
+                                   std::string* error);
   std::vector<std::uint8_t> HandleScore(std::uint64_t request_id,
                                         WireReader& reader);
   std::vector<std::uint8_t> HandleExplain(std::uint64_t request_id,

@@ -135,8 +135,13 @@ std::vector<std::uint8_t> EncodeOnlineExplainRequest(
 
 std::vector<std::uint8_t> EncodeScoreResult(std::uint64_t request_id,
                                             const ScoreResult& result) {
+  return EncodeScoreResult(request_id, result.scores);
+}
+
+std::vector<std::uint8_t> EncodeScoreResult(std::uint64_t request_id,
+                                            std::span<const double> scores) {
   WireWriter writer = BeginMessage(MessageType::kScoreResult, request_id);
-  writer.PutDoubles(result.scores);
+  writer.PutDoubles(scores);
   return writer.Take();
 }
 

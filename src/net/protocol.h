@@ -2,6 +2,7 @@
 #define SUBEX_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -250,6 +251,10 @@ std::vector<std::uint8_t> EncodeProfDumpRequest(std::uint64_t request_id,
                                                 std::uint32_t deadline_ms = 0);
 std::vector<std::uint8_t> EncodeScoreResult(std::uint64_t request_id,
                                             const ScoreResult& result);
+/// The same bytes, encoded straight from a score vector the caller holds
+/// (the server's cached vectors), with no copy into a `ScoreResult`.
+std::vector<std::uint8_t> EncodeScoreResult(std::uint64_t request_id,
+                                            std::span<const double> scores);
 std::vector<std::uint8_t> EncodeExplainResult(std::uint64_t request_id,
                                               const ExplainResult& result);
 std::vector<std::uint8_t> EncodeStatsResult(std::uint64_t request_id,

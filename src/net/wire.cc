@@ -31,7 +31,7 @@ void WireWriter::PutString(const std::string& s) {
   Append(s.data(), s.size());
 }
 
-void WireWriter::PutDoubles(const std::vector<double>& v) {
+void WireWriter::PutDoubles(std::span<const double> v) {
   PutU32(static_cast<std::uint32_t>(v.size()));
   Append(v.data(), v.size() * sizeof(double));
 }

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,11 @@ class WireWriter {
   /// u32 byte count + raw bytes.
   void PutString(const std::string& s);
   /// u32 element count + doubles.
-  void PutDoubles(const std::vector<double>& v);
+  void PutDoubles(std::span<const double> v);
+  /// Same; a braced list of doubles binds here, not to the span.
+  void PutDoubles(const std::vector<double>& v) {
+    PutDoubles(std::span<const double>(v));
+  }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> Take() { return std::move(bytes_); }

@@ -75,14 +75,20 @@ void ScoringService::JoinKnnShare() {
       data_, *cache_->options().manager, cache_->options().max_bytes);
 }
 
+ScoreVectorPtr ScoringService::Hit(const ScoreKey& key) {
+  if (cache_ == nullptr) return nullptr;
+  ScoreVectorPtr v = cache_->Get(key);
+  if (v != nullptr) stats_->RecordHit();
+  return v;
+}
+
+ScoreVectorPtr ScoringService::Cached(const Subspace& subspace) {
+  return Hit(ScoreKey{detector_name_, subspace});
+}
+
 ScoreVectorPtr ScoringService::Score(const Subspace& subspace) {
   ScoreKey key{detector_name_, subspace};
-  if (cache_ != nullptr) {
-    if (ScoreVectorPtr v = cache_->Get(key)) {
-      stats_->RecordHit();
-      return v;
-    }
-  }
+  if (ScoreVectorPtr v = Hit(key)) return v;
 
   std::promise<ScoreVectorPtr> promise;
   std::shared_future<ScoreVectorPtr> future;
@@ -91,12 +97,7 @@ ScoreVectorPtr ScoringService::Score(const Subspace& subspace) {
     std::lock_guard<std::mutex> lock(inflight_mutex_);
     // Re-probe under the lock: a leader may have published to the cache and
     // left the in-flight table between our miss above and here.
-    if (cache_ != nullptr) {
-      if (ScoreVectorPtr v = cache_->Get(key)) {
-        stats_->RecordHit();
-        return v;
-      }
-    }
+    if (ScoreVectorPtr v = Hit(key)) return v;
     auto it = inflight_.find(key);
     if (it != inflight_.end()) {
       future = it->second;

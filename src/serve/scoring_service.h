@@ -70,6 +70,11 @@ class ScoringService {
   /// concurrent identical requests.
   ScoreVectorPtr Score(const Subspace& subspace);
 
+  /// Cache-only lookup: the cached vector of `subspace`, counted as a hit,
+  /// or null, counted as nothing, so the request's later `Score` counts it
+  /// once. Never calls the detector.
+  ScoreVectorPtr Cached(const Subspace& subspace);
+
   /// Batch variant: scores each requested subspace, computing the unique
   /// uncached ones in parallel on the pool (sequentially without one).
   /// `results[i]` corresponds to `subspaces[i]`; duplicates share one
@@ -93,6 +98,9 @@ class ScoringService {
   const KnnShareMember* knn_share() const { return knn_share_.get(); }
 
  private:
+  /// The cached vector of `key`, counted as a hit; null on a miss or
+  /// without a cache.
+  ScoreVectorPtr Hit(const ScoreKey& key);
   ScoreVectorPtr ComputeAndPublish(const ScoreKey& key,
                                    std::promise<ScoreVectorPtr>& promise);
   /// Joins the kNN-share scope of (data, cache manager), if there is a

@@ -131,7 +131,9 @@ TEST_P(DetectorPropertyTest, StandardizedOutlierScoresPositive) {
 TEST_P(DetectorPropertyTest, OverflowingCellsStandardizeWithoutNan) {
   const int non_finite = ExpectProbeStandardizesWithoutNan(
       *MakeDetector(GetParam()));
-  if (GetParam() == DetectorKind::kLof) EXPECT_GT(non_finite, 0);
+  if (GetParam() == DetectorKind::kLof) {
+    EXPECT_GT(non_finite, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -5,8 +5,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
+#include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/generators.h"
@@ -15,6 +18,7 @@
 #include "explain/beam.h"
 #include "explain/refout.h"
 #include "net/explain_client.h"
+#include "obs/registry.h"
 #include "prof/sampling_profiler.h"
 #include "subspace/enumeration.h"
 
@@ -82,6 +86,35 @@ class ExplainServerTest : public ::testing::Test {
     ASSERT_TRUE(server_->Start(&error)) << error;
   }
 
+  /// A failed assertion must not leave a pool thread gated: `Stop` waits
+  /// for every admitted request.
+  void TearDown() override { gate_.store(true, std::memory_order_release); }
+
+  /// A one-thread pool behind a cached LOF service whose detector is
+  /// `gated_`: while `gate_` is closed, one miss holds the pool's only
+  /// thread, so a reply that arrives then was computed on the loop thread.
+  void StartGatedServer() {
+    pool_ = std::make_unique<ThreadPool>(1);
+    lof_service_ = std::make_unique<ScoringService>(
+        gated_, data_.dataset, ScoringServiceOptions{}, pool_.get());
+    server_ = std::make_unique<ExplainServer>(ExplainServerOptions{},
+                                              pool_.get());
+    server_->RegisterService(*lof_service_);
+    std::string error;
+    ASSERT_TRUE(server_->Start(&error)) << error;
+  }
+
+  /// Scores `s` on a new connection from another thread; with the gate
+  /// closed and `s` uncached, that request holds the pool until it opens.
+  std::thread ScoreOnAnotherConnection(const Subspace& s) {
+    return std::thread([this, s] {
+      ExplainClient client = MakeClient();
+      const ExplainClient::ScoreReply reply = client.Score("LOF", s);
+      EXPECT_TRUE(reply.ok()) << reply.error;
+      EXPECT_EQ(reply.scores, ScoreStandardized(lof_, data_.dataset, s));
+    });
+  }
+
   ExplainClient MakeClient(ExplainClientOptions options = {}) {
     ExplainClient client(options);
     std::string error;
@@ -97,6 +130,8 @@ class ExplainServerTest : public ::testing::Test {
     options.num_repetitions = 2;
     return options;
   }()};
+  std::atomic<bool> gate_{true};
+  GateDetector gated_{lof_, &gate_};
   Beam beam_;
   RefOut refout_;
   std::unique_ptr<ThreadPool> pool_;
@@ -576,6 +611,205 @@ TEST_F(ExplainServerTest, UntracedClientsStillGetServerSideSpans) {
   const ExplainClient::TraceDumpReply dump = client.TraceDump();
   ASSERT_TRUE(dump.ok()) << dump.error;
   EXPECT_NE(dump.json.find("\"serve.request\""), std::string::npos);
+}
+
+TEST_F(ExplainServerTest, CachedScoreIsAnsweredWhileThePoolIsBlocked) {
+  StartGatedServer();
+  const Subspace cached({0, 1});
+  ExplainClientOptions short_wait;
+  short_wait.request_timeout_ms = 2000;  // A queued hit fails, not hangs.
+  ExplainClient client = MakeClient(short_wait);
+  ASSERT_TRUE(client.Score("LOF", cached).ok());
+
+  gate_.store(false, std::memory_order_release);
+  std::thread blocked = ScoreOnAnotherConnection(Subspace({2, 3}));
+  EXPECT_TRUE(
+      WaitFor([&] { return server_->stats().requests_admitted == 2; }));
+  const ExplainClient::ScoreReply reply = client.Score("LOF", cached);
+  EXPECT_TRUE(reply.ok()) << reply.error;
+  EXPECT_EQ(reply.scores, ScoreStandardized(lof_, data_.dataset, cached));
+
+  gate_.store(true, std::memory_order_release);
+  blocked.join();
+}
+
+/// One byte stream of LOF kScore frames, one per (request id, subspace).
+std::vector<std::uint8_t> PipelinedLofScores(
+    std::initializer_list<std::pair<std::uint64_t, Subspace>> requests) {
+  std::vector<std::uint8_t> stream;
+  for (const auto& [id, subspace] : requests) {
+    ScoreRequest request;
+    request.detector = "LOF";
+    request.subspace = subspace;
+    const std::vector<std::uint8_t> frame =
+        EncodeFrame(EncodeScoreRequest(id, request));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  return stream;
+}
+
+/// Reads the next kScoreResult frame off `fd` into `*request_id` and
+/// `*scores`.
+void ReadScoreReply(int fd, FrameDecoder& decoder, std::uint64_t* request_id,
+                    std::vector<double>* scores) {
+  std::vector<std::uint8_t> payload;
+  std::uint8_t buf[4096];
+  std::string error;
+  while (!decoder.Next(&payload)) {
+    std::size_t received = 0;
+    ASSERT_TRUE(RecvSome(fd, buf, sizeof(buf), 5000, &received, &error))
+        << error;
+    ASSERT_GT(received, 0u) << "server closed the connection";
+    decoder.Feed(buf, received);
+  }
+  WireReader reader(payload);
+  MessageHeader header;
+  ASSERT_TRUE(DecodeHeader(reader, &header));
+  ASSERT_EQ(header.type, MessageType::kScoreResult);
+  ScoreResult result;
+  ASSERT_TRUE(DecodeScoreResult(reader, &result));
+  *request_id = header.request_id;
+  *scores = std::move(result.scores);
+}
+
+TEST_F(ExplainServerTest, HitPipelinedBehindAMissRepliesAfterIt) {
+  StartGatedServer();
+  const Subspace cached({0, 1});
+  const Subspace uncached({2, 3});
+  ASSERT_TRUE(MakeClient().Score("LOF", cached).ok());
+
+  gate_.store(false, std::memory_order_release);
+  std::string error;
+  Socket raw = ConnectTcp("127.0.0.1", server_->port(), 2000, &error);
+  ASSERT_TRUE(raw.valid()) << error;
+  const std::vector<std::uint8_t> stream =
+      PipelinedLofScores({{1, uncached}, {2, cached}});
+  ASSERT_TRUE(SendAll(raw.fd(), stream.data(), stream.size(), 2000, &error))
+      << error;
+  // Both admitted while the miss holds the pool: a hit answered on the
+  // loop now would overtake it.
+  ASSERT_TRUE(
+      WaitFor([&] { return server_->stats().requests_admitted == 3; }));
+  gate_.store(true, std::memory_order_release);
+
+  FrameDecoder decoder;
+  std::uint64_t id = 0;
+  std::vector<double> scores;
+  ReadScoreReply(raw.fd(), decoder, &id, &scores);
+  EXPECT_EQ(id, 1u) << "response out of order";
+  EXPECT_EQ(scores, ScoreStandardized(lof_, data_.dataset, uncached));
+  ReadScoreReply(raw.fd(), decoder, &id, &scores);
+  EXPECT_EQ(id, 2u);
+  EXPECT_EQ(scores, ScoreStandardized(lof_, data_.dataset, cached));
+}
+
+/// Every count one kScore moves: the service's, the server's and the
+/// registry histograms `kStats` serves.
+struct ScoreCounts {
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t admitted = 0;
+  std::uint64_t responses = 0;
+  std::uint64_t score_requests = 0;  ///< serve.request.score count.
+  std::uint64_t writes = 0;          ///< net.write count.
+
+  bool operator==(const ScoreCounts&) const = default;
+  ScoreCounts operator-(const ScoreCounts& o) const {
+    return {hits - o.hits,           misses - o.misses,
+            admitted - o.admitted,   responses - o.responses,
+            score_requests - o.score_requests, writes - o.writes};
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const ScoreCounts& c) {
+  return os << "{hits " << c.hits << ", misses " << c.misses << ", admitted "
+            << c.admitted << ", responses " << c.responses
+            << ", serve.request.score " << c.score_requests << ", net.write "
+            << c.writes << "}";
+}
+
+ScoreCounts CountsOf(const ExplainServer& server,
+                     const ScoringService& service) {
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const ServiceStatsSnapshot service_stats = service.stats();
+  const ServerStatsSnapshot server_stats = server.stats();
+  return {service_stats.hits,
+          service_stats.misses,
+          server_stats.requests_admitted,
+          server_stats.responses_sent,
+          registry.GetHistogram("serve.request.score").snapshot().count,
+          registry.GetHistogram("net.write").snapshot().count};
+}
+
+/// True when `json` (a Chrome trace) has a span `name` in trace `trace_id`.
+bool HasSpan(const std::string& json, const std::string& name,
+             const std::string& trace_id) {
+  const std::string event = "{\"name\":\"" + name + "\"";
+  const std::string id = "\"trace_id\":\"" + trace_id + "\"";
+  for (std::size_t at = json.find(event); at != std::string::npos;
+       at = json.find(event, at + 1)) {
+    const std::size_t end = json.find("{\"name\":", at + 1);
+    if (json.substr(at, end - at).find(id) != std::string::npos) return true;
+  }
+  return false;
+}
+
+TEST_F(ExplainServerTest, InlineHitCountsLikeAPooledHit) {
+  StartGatedServer();
+  const Subspace cached({0, 1});
+  ExplainClientOptions short_wait;
+  short_wait.request_timeout_ms = 2000;  // A queued hit fails, not hangs.
+  ExplainClient client = MakeClient(short_wait);
+  ASSERT_TRUE(client.Score("LOF", cached).ok());
+  ASSERT_TRUE(WaitFor([&] { return server_->stats().responses_sent == 1; }));
+
+  // Inline: the pool is held by another connection's miss.
+  gate_.store(false, std::memory_order_release);
+  std::thread blocked = ScoreOnAnotherConnection(Subspace({2, 3}));
+  EXPECT_TRUE(
+      WaitFor([&] { return server_->stats().requests_admitted == 2; }));
+  const ScoreCounts before_inline = CountsOf(*server_, *lof_service_);
+  EXPECT_TRUE(client.Score("LOF", cached).ok());
+  const std::uint64_t inline_trace = client.last_trace_id();
+  EXPECT_TRUE(WaitFor([&] { return server_->stats().responses_sent == 2; }));
+  const ScoreCounts inline_hit =
+      CountsOf(*server_, *lof_service_) - before_inline;
+  gate_.store(true, std::memory_order_release);
+  blocked.join();
+  ASSERT_TRUE(WaitFor([&] { return server_->stats().responses_sent == 3; }));
+
+  // Pooled: the same hit pipelined behind a gated miss on one connection,
+  // so it queues behind the miss on the pool. The pair moves a miss's
+  // counts plus the pooled hit's.
+  const ScoreCounts before_pair = CountsOf(*server_, *lof_service_);
+  std::string error;
+  Socket raw = ConnectTcp("127.0.0.1", server_->port(), 2000, &error);
+  ASSERT_TRUE(raw.valid()) << error;
+  gate_.store(false, std::memory_order_release);
+  const std::vector<std::uint8_t> stream =
+      PipelinedLofScores({{1, Subspace({4, 5})}, {2, cached}});
+  ASSERT_TRUE(SendAll(raw.fd(), stream.data(), stream.size(), 2000, &error))
+      << error;
+  ASSERT_TRUE(
+      WaitFor([&] { return server_->stats().requests_admitted == 5; }));
+  gate_.store(true, std::memory_order_release);
+  FrameDecoder decoder;
+  std::uint64_t id = 0;
+  std::vector<double> scores;
+  ReadScoreReply(raw.fd(), decoder, &id, &scores);
+  ReadScoreReply(raw.fd(), decoder, &id, &scores);
+  ASSERT_TRUE(WaitFor([&] { return server_->stats().responses_sent == 5; }));
+  const ScoreCounts pair = CountsOf(*server_, *lof_service_) - before_pair;
+  const ScoreCounts miss{0, 1, 1, 1, 1, 1};
+
+  EXPECT_EQ(inline_hit, (ScoreCounts{1, 0, 1, 1, 1, 1}));
+  EXPECT_EQ(pair - miss, inline_hit);
+
+  // The inline hit's traced request wrote its response like any other.
+  const ExplainClient::TraceDumpReply dump = client.TraceDump();
+  ASSERT_TRUE(dump.ok()) << dump.error;
+  EXPECT_TRUE(HasSpan(dump.json, "serve.request", HexId(inline_trace)));
+  EXPECT_TRUE(HasSpan(dump.json, "net.write", HexId(inline_trace)));
 }
 
 TEST_F(ExplainServerTest, SlowRequestsRetainTheirSpanBreakdown) {
